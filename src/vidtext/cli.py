@@ -12,9 +12,10 @@ errors, 2 fatal (bad usage, unreadable files, invalid config).
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
+from collections import Counter
 from typing import IO, Any, Callable, Iterator
 
 import numpy as np
@@ -29,17 +30,17 @@ from .corruption import (
     corrupt_document,
     derive_seed,
 )
-from .filters import ThumbnailEvidence, metadata_gate, thumbnail_gate
 from .losses import combine_losses, contrastive_loss, masked_lm_loss, order_logits, ordering_loss
 from .masking import AttentionProfile, apply_plan, select_targets
 from .model import (
     SCHEMA_VERSION,
-    TimedWord,
-    VideoRecord,
     dump_line,
-    example_to_json,
-    record_from_json,
+    list_field,
+    numbered_lines,
+    read_jsonl,
     record_to_json,
+    word_from_json,
+    write_jsonl,
 )
 from .ordering import (
     PairwiseRelationTable,
@@ -47,63 +48,48 @@ from .ordering import (
     best_ordering,
     evaluate_story_set,
 )
-from .pipeline import print_errors, run_pipeline
-from .segmenting import (
-    PackStats,
-    ShapeConfig,
-    pack_examples,
-    segment_transcript,
-    sequence_shape,
+from .pipeline import (
+    ACCEPTED,
+    DATA_ERRORS,
+    ERROR,
+    apply_gates,
+    check_line,
+    decode_record,
+    decode_video,
+    line_outcome,
+    outcomes,
+    print_errors,
+    run_pipeline,
+    segment_video,
+    write_examples,
 )
+from .segmenting import ShapeConfig, frame_manifest, sequence_shape
 from .selfcheck import selfcheck
-from .tokenizers import load_tokenizer, tokenize_words
+from .tokenizers import load_tokenizer
 
 
-def _check_schema(obj: dict[str, Any]) -> dict[str, Any]:
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if str(version) != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {version!r}")
-    return obj
+def _note_skip(lineno: int, message: str) -> None:
+    print(f"line {lineno}: skipped ({message})", file=sys.stderr)
 
 
-def _jsonl_records(fp: IO[str]) -> Iterator[tuple[int, dict[str, Any]]]:
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if line:
-            yield lineno, line
+def _accept(obj: Any, handle: Callable[[Any], Any]) -> tuple[str, Any]:
+    return ACCEPTED, handle(obj)
 
 
-class _LineProcessor:
-    """Shared per-line error accounting for the streaming subcommands."""
-
-    def __init__(self, out: IO[str]) -> None:
-        self.out = out
-        self.errors = 0
-
-    def run(self, fp: IO[str], fn: Callable[[dict[str, Any]], dict[str, Any]]) -> int:
-        for lineno, raw in _jsonl_records(fp):
-            try:
-                obj = json.loads(raw)
-                if not isinstance(obj, dict):
-                    raise ValueError("line must hold a JSON object")
-                result = fn(_check_schema(obj))
-            except (ValueError, TypeError, KeyError, json.JSONDecodeError) as e:
-                self.errors += 1
-                print(f"line {lineno}: skipped ({e})", file=sys.stderr)
-                continue
-            result.setdefault("schema_version", SCHEMA_VERSION)
-            self.out.write(dump_line(result))
-            self.out.write("\n")
-        return 1 if self.errors else 0
+def _handled(fin: IO, handle: Callable[[Any], Any]) -> Iterator[tuple[int, Any]]:
+    """Numbered outcomes of ``handle`` per input line; every handled line is accepted."""
+    for lineno, raw in numbered_lines(fin):
+        yield lineno, line_outcome(_accept, raw, handle)
 
 
-def _timed_words(objs) -> list[TimedWord]:
-    return [
-        TimedWord(
-            text=str(w["text"]), start_s=float(w["start_s"]), end_s=float(w["end_s"])
-        )
-        for w in objs
-    ]
+def _stream(args, handle: Callable[[Any], dict[str, Any]]) -> int:
+    """Write ``handle``'s output object per input line; skip data errors."""
+    tally: Counter = Counter()
+    with ExitStack() as stack:
+        fin, fout = _open_streams(args, stack)
+        results = outcomes(_handled(fin, handle), _note_skip, tally)
+        write_jsonl(fout, ({**r, "schema_version": SCHEMA_VERSION} for _, r in results))
+    return 1 if tally[ERROR] else 0
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -116,24 +102,40 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="global random seed")
 
 
-def _open_streams(args, stack: ExitStack) -> tuple[IO[str], IO[str]]:
-    fin = (
-        stack.enter_context(open(args.input, encoding="utf-8"))
-        if args.input
-        else sys.stdin
-    )
-    fout = (
-        stack.enter_context(open(args.output, "w", encoding="utf-8"))
-        if args.output
-        else sys.stdout
-    )
+def _open_streams(args, stack: ExitStack) -> tuple[IO, IO[str]]:
+    """Input as bytes, so a line that is not UTF-8 is a data error of its own."""
+    fin = getattr(sys.stdin, "buffer", sys.stdin)  # a replaced stdin may be text
+    if args.input:
+        fin = stack.enter_context(open(args.input, "rb"))
+    fout = sys.stdout
+    if args.output:
+        fout = stack.enter_context(open(args.output, "w", encoding="utf-8"))
     return fin, fout
 
 
-def _config_from_args(args, **extra) -> PipelineConfig:
-    overrides = dict(extra)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+def _write_report(path: str | None, obj: dict[str, Any]) -> None:
+    """``obj`` as one JSON line in the file at ``path``, or on stderr without one."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stderr) as fp:
+        fp.write(dump_line(obj) + "\n")
+
+
+def _add_gate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-duration-s", type=float, default=None)
+    p.add_argument("--prob-threshold", type=float, default=None)
+    p.add_argument("--min-objects", type=int, default=None)
+    p.add_argument("--sim-threshold", type=float, default=None)
+    p.add_argument(
+        "--distinct-classes",
+        action="store_true",
+        default=None,
+        help="count distinct object classes instead of (thumbnail, class) cells",
+    )
+
+
+def _config_from_args(args) -> PipelineConfig:
+    """The ``--config`` file, overridden by every given flag named after a field."""
+    fields = PipelineConfig.__dataclass_fields__
+    overrides = {k: v for k, v in vars(args).items() if k in fields}
     return resolve_config(getattr(args, "config", None), overrides)
 
 
@@ -142,49 +144,23 @@ def _config_from_args(args, **extra) -> PipelineConfig:
 
 
 def _cmd_filter(args) -> int:
-    cfg = _config_from_args(
-        args,
-        max_duration_s=args.max_duration_s,
-        prob_threshold=args.prob_threshold,
-        min_objects=args.min_objects,
-        sim_threshold=args.sim_threshold,
-        distinct_classes=True if args.distinct_classes else None,
-    )
+    cfg = _config_from_args(args)
 
-    def decide(obj: dict[str, Any]) -> dict[str, Any]:
-        meta = VideoRecord(
-            video_id=str(obj["video_id"]),
-            duration_s=float(obj["duration_s"]),
-            category=str(obj["category"]),
-            has_english_asr=bool(obj["has_english_asr"]),
-        )
-        decision = metadata_gate(meta, max_duration_s=cfg.max_duration_s)
-        if decision.accepted and "thumbnails" in obj:
-            ev = ThumbnailEvidence(
-                object_probs=obj["thumbnails"]["object_probs"],
-                features=obj["thumbnails"]["features"],
-            )
-            decision = thumbnail_gate(
-                ev,
-                prob_threshold=cfg.prob_threshold,
-                min_objects=cfg.min_objects,
-                sim_threshold=cfg.sim_threshold,
-                distinct_classes=cfg.distinct_classes,
-            )
+    def decide(obj: Any) -> dict[str, Any]:
+        meta, _ = decode_video(obj)
+        decision = apply_gates(meta, obj, cfg)
         return {
             "video_id": meta.video_id,
             "verdict": decision.verdict,
             "reason": decision.reason,
         }
 
-    with ExitStack() as stack:
-        fin, fout = _open_streams(args, stack)
-        return _LineProcessor(fout).run(fin, decide)
+    return _stream(args, decide)
 
 
 def _cmd_align(args) -> int:
-    def handle(obj: dict[str, Any]) -> dict[str, Any]:
-        noisy = _timed_words(obj["noisy"])
+    def handle(obj: Any) -> dict[str, Any]:
+        noisy = list_field(check_line(obj), "noisy", word_from_json)
         clean = [str(w) for w in obj["clean"]]
         alignment, timed = align_and_time(noisy, clean)
         return {
@@ -195,19 +171,11 @@ def _cmd_align(args) -> int:
             ],
         }
 
-    with ExitStack() as stack:
-        fin, fout = _open_streams(args, stack)
-        return _LineProcessor(fout).run(fin, handle)
+    return _stream(args, handle)
 
 
 def _cmd_corrupt(args) -> int:
-    cfg = _config_from_args(
-        args,
-        replace_prob=args.replace_prob,
-        homophone_share=args.homophone_share,
-        filler_prob=args.filler_prob,
-        tokenizer_path=args.tokenizer,
-    )
+    cfg = _config_from_args(args)
     table = (
         PronunciationTable.from_cmu_file(args.pronounce_dict)
         if args.pronounce_dict
@@ -215,120 +183,57 @@ def _cmd_corrupt(args) -> int:
     )
     tokenizer = load_tokenizer(cfg.tokenizer_path)
 
-    def handle(obj: dict[str, Any]) -> dict[str, Any]:
-        doc_id = str(obj["doc_id"])
+    def handle(obj: Any) -> dict[str, Any]:
+        doc_id = str(check_line(obj)["doc_id"])
         doc_cfg = CorruptionConfig(
             replace_prob=cfg.replace_prob,
             homophone_share=cfg.homophone_share,
             filler_prob=cfg.filler_prob,
             rng_seed=derive_seed(cfg.seed, doc_id),
         )
-        words = corrupt_document(
-            [str(w) for w in obj["words"]], doc_cfg, table, tokenizer
-        )
+        texts = [str(w) for w in obj["words"]]
+        words = corrupt_document(texts, doc_cfg, table, tokenizer)
         return {"doc_id": doc_id, "words": words}
 
-    with ExitStack() as stack:
-        fin, fout = _open_streams(args, stack)
-        return _LineProcessor(fout).run(fin, handle)
+    return _stream(args, handle)
 
 
 def _cmd_segment(args) -> int:
-    cfg = _config_from_args(
-        args,
-        tokens_per_segment=args.tokens_per_segment,
-        tokenizer_path=args.tokenizer,
-    )
+    cfg = _config_from_args(args)
     tokenizer = load_tokenizer(cfg.tokenizer_path)
 
     with ExitStack() as stack:
-        fin, fout = _open_streams(args, stack)
         frames_fp = (
             stack.enter_context(open(args.frame_manifest, "w", encoding="utf-8"))
             if args.frame_manifest
             else None
         )
 
-        def handle(obj: dict[str, Any]) -> dict[str, Any]:
-            words = _timed_words(obj.get("words", []))
-            tokens = tokenize_words(words, tokenizer)
-            segments = segment_transcript(tokens, l_max=cfg.tokens_per_segment)
-            record = VideoRecord(
-                video_id=str(obj["video_id"]),
-                duration_s=float(obj["duration_s"]),
-                category=str(obj["category"]),
-                has_english_asr=bool(obj["has_english_asr"]),
-                segments=tuple(segments),
-            )
+        def handle(obj: Any) -> dict[str, Any]:
+            record = segment_video(*decode_video(obj), cfg, tokenizer)
             if frames_fp is not None:
-                for seg in record.segments:
-                    frames_fp.write(
-                        dump_line(
-                            {
-                                "video_id": record.video_id,
-                                "frame_time_s": seg.frame_time_s,
-                            }
-                        )
-                    )
-                    frames_fp.write("\n")
+                write_jsonl(frames_fp, frame_manifest([record]))
             return record_to_json(record)
 
-        return _LineProcessor(fout).run(fin, handle)
+        return _stream(args, handle)
 
 
 def _cmd_pack(args) -> int:
-    cfg = _config_from_args(
-        args,
-        segments_per_example=args.segments_per_example,
-        cross_video=False if args.no_cross_video else None,
-    )
-
+    cfg = _config_from_args(args)
     with ExitStack() as stack:
         fin, fout = _open_streams(args, stack)
-        errors = 0
-
-        def records() -> Iterator[VideoRecord]:
-            nonlocal errors
-            for lineno, raw in _jsonl_records(fin):
-                try:
-                    yield record_from_json(_check_schema(json.loads(raw)))
-                except (ValueError, TypeError, KeyError, json.JSONDecodeError) as e:
-                    errors += 1
-                    print(f"line {lineno}: skipped ({e})", file=sys.stderr)
-
-        stats = PackStats()
-        for example in pack_examples(
-            records(),
-            n_segments=cfg.segments_per_example,
-            cross_video=cfg.cross_video,
-            stats=stats,
-        ):
-            fout.write(dump_line(example_to_json(example)))
-            fout.write("\n")
-        summary = {
-            "segments_in": stats.segments_in,
-            "examples_out": stats.examples_out,
-            "segments_dropped": stats.segments_dropped,
-        }
-        if args.stats:
-            with open(args.stats, "w", encoding="utf-8") as sf:
-                sf.write(dump_line(summary) + "\n")
-        else:
-            print(dump_line(summary), file=sys.stderr)
-        return 1 if errors else 0
+        tally: Counter = Counter()
+        records = outcomes(_handled(fin, decode_record), _note_skip, tally)
+        stats = write_examples((record for _, record in records), cfg, fout)
+        _write_report(args.stats, dataclasses.asdict(stats))
+        return 1 if tally[ERROR] else 0
 
 
 def _cmd_mask(args) -> int:
-    cfg = _config_from_args(
-        args,
-        mask_rate=args.rate,
-        attended_share=args.attended_share,
-        span_mean=args.span_mean,
-        top_frac=args.top_frac,
-    )
+    cfg = _config_from_args(args)
 
-    def handle(obj: dict[str, Any]) -> dict[str, Any]:
-        seq_id = str(obj["sequence_id"])
+    def handle(obj: Any) -> dict[str, Any]:
+        seq_id = str(check_line(obj)["sequence_id"])
         tokens = [int(t) for t in obj["tokens"]]
         profile = AttentionProfile(
             weights=np.asarray(obj["weights"], dtype=np.float64),
@@ -356,9 +261,7 @@ def _cmd_mask(args) -> int:
         )
         return {"sequence_id": seq_id, "tokens": corrupted, "labels": labels}
 
-    with ExitStack() as stack:
-        fin, fout = _open_streams(args, stack)
-        return _LineProcessor(fout).run(fin, handle)
+    return _stream(args, handle)
 
 
 def _cmd_loss(args) -> int:
@@ -402,8 +305,8 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_score_order(args) -> int:
-    def handle(obj: dict[str, Any]) -> dict[str, Any]:
-        n = int(obj["n"])
+    def handle(obj: Any) -> dict[str, Any]:
+        n = int(check_line(obj)["n"])
         classes = int(obj.get("classes", 4))
         flat = [float(x) for x in obj["log_probs"]]
         if classes == 4:
@@ -420,63 +323,30 @@ def _cmd_score_order(args) -> int:
             raise ValueError(f"classes must be 2 or 4, got {classes}")
         return {"permutation": list(perm), "score": score}
 
-    with ExitStack() as stack:
-        fin, fout = _open_streams(args, stack)
-        return _LineProcessor(fout).run(fin, handle)
+    return _stream(args, handle)
+
+
+def _read_objects(path: str) -> list[dict[str, Any]]:
+    """Every line of a JSONL file; a malformed one is fatal."""
+    with open(path, encoding="utf-8") as fp:
+        return [check_line(obj) for obj in read_jsonl(fp)]
 
 
 def _cmd_eval_story(args) -> int:
-    tables: list[PairwiseRelationTable] = []
-    truths: list[list[int]] = []
-    with open(args.tables, encoding="utf-8") as fp:
-        for lineno, raw in _jsonl_records(fp):
-            obj = _check_schema(json.loads(raw))
-            tables.append(
-                PairwiseRelationTable.from_flat(
-                    int(obj["n"]), [float(x) for x in obj["log_probs"]]
-                )
-            )
-    with open(args.truths, encoding="utf-8") as fp:
-        for lineno, raw in _jsonl_records(fp):
-            obj = _check_schema(json.loads(raw))
-            truths.append([int(x) for x in obj["order"]])
+    tables = [
+        PairwiseRelationTable.from_flat(int(o["n"]), [float(x) for x in o["log_probs"]])
+        for o in _read_objects(args.tables)
+    ]
+    truths = [[int(x) for x in obj["order"]] for obj in _read_objects(args.truths)]
     report = evaluate_story_set(tables, truths, footrule=args.footrule)
-    print(
-        dump_line(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "spearman": report.spearman,
-                "pairwise_accuracy": report.pairwise_accuracy,
-                "distance": report.distance,
-                "n_stories": report.n_stories,
-            }
-        )
-    )
+    print(dump_line({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report)}))
     return 0
 
 
 def _cmd_shape(args) -> int:
-    cfg = _config_from_args(
-        args,
-        image_width=args.image_width,
-        image_height=args.image_height,
-        patch=args.patch,
-        pool=args.pool,
-        group_segments=args.group_segments,
-        tokens_per_segment=args.tokens_per_segment,
-        segments_per_example=args.segments_per_example,
-    )
-    shape = sequence_shape(
-        ShapeConfig(
-            image_width=cfg.image_width,
-            image_height=cfg.image_height,
-            patch=cfg.patch,
-            pool=cfg.pool,
-            group_segments=cfg.group_segments,
-            tokens_per_segment=cfg.tokens_per_segment,
-            segments_per_example=cfg.segments_per_example,
-        )
-    )
+    cfg = _config_from_args(args)
+    fields = ShapeConfig.__dataclass_fields__
+    shape = sequence_shape(ShapeConfig(**{f: getattr(cfg, f) for f in fields}))
     print(dump_line({"schema_version": SCHEMA_VERSION, **shape.to_json()}))
     return 0
 
@@ -492,28 +362,12 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(
-        args,
-        tokenizer_path=args.tokenizer,
-        tokens_per_segment=args.tokens_per_segment,
-        segments_per_example=args.segments_per_example,
-        cross_video=False if args.no_cross_video else None,
-        max_duration_s=args.max_duration_s,
-        prob_threshold=args.prob_threshold,
-        min_objects=args.min_objects,
-        sim_threshold=args.sim_threshold,
-        distinct_classes=True if args.distinct_classes else None,
-    )
+    cfg = _config_from_args(args)
     with ExitStack() as stack:
         fin, fout = _open_streams(args, stack)
         manifest = run_pipeline(cfg, fin, fout, jobs=args.jobs)
-    payload = dump_line(manifest.to_json()) + "\n"
-    if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8") as mf:
-            mf.write(payload)
-    else:
-        sys.stderr.write(payload)
-    print_errors(manifest)
+    _write_report(args.manifest, manifest.to_json())
+    print_errors(manifest, sys.stderr)
     return 1 if manifest.data_errors else 0
 
 
@@ -556,15 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="apply retention gates to evidence records")
     _add_io_flags(p)
     _add_config_flags(p)
-    p.add_argument("--max-duration-s", type=float, default=None)
-    p.add_argument("--prob-threshold", type=float, default=None)
-    p.add_argument("--min-objects", type=int, default=None)
-    p.add_argument("--sim-threshold", type=float, default=None)
-    p.add_argument(
-        "--distinct-classes",
-        action="store_true",
-        help="count distinct object classes instead of (thumbnail, class) cells",
-    )
+    _add_gate_flags(p)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("align", help="align noisy timed words to clean words")
@@ -578,14 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homophone-share", type=float, default=None)
     p.add_argument("--filler-prob", type=float, default=None)
     p.add_argument("--pronounce-dict", help="CMU-format pronunciation dictionary")
-    p.add_argument("--tokenizer", help="tokenizer directory (vocab.json + merges.txt)")
+    p.add_argument(
+        "--tokenizer",
+        dest="tokenizer_path",
+        help="tokenizer directory (vocab.json + merges.txt)",
+    )
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("segment", help="turn timed words into token segments")
     _add_io_flags(p)
     _add_config_flags(p)
     p.add_argument("--tokens-per-segment", type=int, default=None)
-    p.add_argument("--tokenizer")
+    p.add_argument("--tokenizer", dest="tokenizer_path")
     p.add_argument("--frame-manifest", help="also write (video_id, frame_time_s) JSONL")
     p.set_defaults(func=_cmd_segment)
 
@@ -593,14 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_config_flags(p)
     p.add_argument("--segments-per-example", type=int, default=None)
-    p.add_argument("--no-cross-video", action="store_true")
+    p.add_argument(
+        "--no-cross-video", dest="cross_video", action="store_false", default=None
+    )
     p.add_argument("--stats", help="write packing stats JSON here instead of stderr")
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("mask", help="plan and apply span masking")
     _add_io_flags(p)
     _add_config_flags(p)
-    p.add_argument("--rate", type=float, default=None)
+    p.add_argument("--rate", dest="mask_rate", type=float, default=None)
     p.add_argument("--attended-share", type=float, default=None)
     p.add_argument("--span-mean", type=float, default=None)
     p.add_argument("--top-frac", type=float, default=None)
@@ -671,15 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--manifest", help="write the run manifest JSON here")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--tokenizer")
+    p.add_argument("--tokenizer", dest="tokenizer_path")
     p.add_argument("--tokens-per-segment", type=int, default=None)
     p.add_argument("--segments-per-example", type=int, default=None)
-    p.add_argument("--no-cross-video", action="store_true")
-    p.add_argument("--max-duration-s", type=float, default=None)
-    p.add_argument("--prob-threshold", type=float, default=None)
-    p.add_argument("--min-objects", type=int, default=None)
-    p.add_argument("--sim-threshold", type=float, default=None)
-    p.add_argument("--distinct-classes", action="store_true")
+    p.add_argument(
+        "--no-cross-video", dest="cross_video", action="store_false", default=None
+    )
+    _add_gate_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
@@ -700,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, *DATA_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -76,7 +76,7 @@ class ThumbnailEvidence:
             raise ValueError(
                 f"features must have exactly {_THUMBNAILS} rows, got shape {feats.shape}"
             )
-        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails too
             raise ValueError("object probabilities must lie within [0, 1]")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")

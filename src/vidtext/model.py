@@ -17,9 +17,11 @@ The line format (one JSON object per line, ``schema_version`` "1"):
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 SCHEMA_VERSION = "1"
 
@@ -245,6 +247,56 @@ def validate_example(example: PackedExample, n_segments: int = 16, l_max: int = 
 
 # ---------------------------------------------------------------------------
 # JSON serialization
+#
+# The decoders are strict: numbers are JSON numbers (never booleans or
+# strings), times are finite and non-negative, flags are JSON booleans.
+# Every error names the offending field path.
+
+
+def _member(obj: dict[str, Any], key: str) -> Any:
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{key} is missing") from None
+
+
+_KINDS = {str: "a string", bool: "true or false", int: "an integer"}
+
+
+def _typed_field(obj: dict[str, Any], key: str, kind: type) -> Any:
+    """``obj[key]`` if it is exactly of JSON type ``kind`` (a bool is no int)."""
+    value = _member(obj, key)
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def _seconds_field(obj: dict[str, Any], key: str) -> float:
+    """A time in seconds: a JSON number, non-negative and finite in milliseconds."""
+    value = _member(obj, key)
+    if type(value) is float or type(value) is int:
+        try:
+            if 0.0 <= value * 1000.0 < math.inf:  # NaN fails both comparisons
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{key} must be a finite number >= 0, got {value!r:.40}")
+
+
+def list_field(obj: dict[str, Any], key: str, decode: Callable) -> list:
+    """Decode a list of objects; errors are prefixed with ``key[index]``."""
+    items = _member(obj, key)
+    if type(items) is not list:
+        raise ValueError(f"{key} must be a list, got {items!r:.40}")
+    out = []
+    for k, item in enumerate(items):
+        if type(item) is not dict:
+            raise ValueError(f"{key}[{k}] must be an object, got {item!r:.40}")
+        try:
+            out.append(decode(item))
+        except ValueError as e:
+            raise ValueError(f"{key}[{k}]: {e}") from None
+    return out
 
 
 def token_to_json(tok: TimedToken) -> dict[str, Any]:
@@ -258,10 +310,18 @@ def token_to_json(tok: TimedToken) -> dict[str, Any]:
 
 def token_from_json(obj: dict[str, Any]) -> TimedToken:
     return TimedToken(
-        id=int(obj["id"]),
-        word_index=int(obj["word_index"]),
-        start_s=float(obj["start_s"]),
-        end_s=float(obj["end_s"]),
+        id=_typed_field(obj, "id", int),
+        word_index=_typed_field(obj, "word_index", int),
+        start_s=_seconds_field(obj, "start_s"),
+        end_s=_seconds_field(obj, "end_s"),
+    )
+
+
+def word_from_json(obj: dict[str, Any]) -> TimedWord:
+    return TimedWord(
+        text=_typed_field(obj, "text", str),
+        start_s=_seconds_field(obj, "start_s"),
+        end_s=_seconds_field(obj, "end_s"),
     )
 
 
@@ -275,9 +335,9 @@ def segment_to_json(seg: Segment) -> dict[str, Any]:
 
 def segment_from_json(obj: dict[str, Any]) -> Segment:
     return Segment(
-        tokens=tuple(token_from_json(t) for t in obj["tokens"]),
-        frame_time_s=float(obj["frame_time_s"]),
-        variant=str(obj["variant"]),
+        tokens=list_field(obj, "tokens", token_from_json),
+        frame_time_s=_seconds_field(obj, "frame_time_s"),
+        variant=_typed_field(obj, "variant", str),
     )
 
 
@@ -292,13 +352,22 @@ def record_to_json(record: VideoRecord) -> dict[str, Any]:
     }
 
 
+def metadata_from_json(obj: dict[str, Any]) -> VideoRecord:
+    """The video-level fields of a record, without segments."""
+    record = VideoRecord(
+        video_id=_typed_field(obj, "video_id", str),
+        duration_s=_seconds_field(obj, "duration_s"),
+        category=_typed_field(obj, "category", str),
+        has_english_asr=_typed_field(obj, "has_english_asr", bool),
+    )
+    if not record.video_id:
+        raise ValueError("video_id must be non-empty")
+    return record
+
+
 def record_from_json(obj: dict[str, Any]) -> VideoRecord:
-    return VideoRecord(
-        video_id=str(obj["video_id"]),
-        duration_s=float(obj["duration_s"]),
-        category=str(obj["category"]),
-        has_english_asr=bool(obj["has_english_asr"]),
-        segments=tuple(segment_from_json(s) for s in obj["segments"]),
+    return dataclasses.replace(
+        metadata_from_json(obj), segments=list_field(obj, "segments", segment_from_json)
     )
 
 
@@ -312,7 +381,7 @@ def example_to_json(example: PackedExample) -> dict[str, Any]:
 
 def example_from_json(obj: dict[str, Any]) -> PackedExample:
     return PackedExample(
-        segments=tuple(segment_from_json(s) for s in obj["segments"]),
+        segments=list_field(obj, "segments", segment_from_json),
         provenance=tuple((str(v), int(i)) for v, i in obj["provenance"]),
     )
 
@@ -331,8 +400,13 @@ def write_jsonl(fp: IO[str], objs: Iterable[dict[str, Any]]) -> int:
     return n
 
 
-def read_jsonl(fp: IO[str]) -> Iterator[dict[str, Any]]:
-    for line in fp:
+def numbered_lines(fp: IO) -> Iterator[tuple[int, Any]]:
+    """The non-blank lines of a text or byte stream, stripped, numbered from 1."""
+    for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if line:
-            yield json.loads(line)
+            yield lineno, line
+
+
+def read_jsonl(fp: IO[str]) -> Iterator[dict[str, Any]]:
+    return (json.loads(line) for _, line in numbered_lines(fp))

@@ -9,20 +9,25 @@ Input is line-delimited JSON, one video per line:
 ``thumbnails`` is optional; without it only the metadata gates run.  Output
 is packed-example JSONL plus a manifest of per-stage counts and the config
 hash.  Records are processed by a pool whose results are consumed in input
-order, so worker count never changes a single output byte.
+order, so worker count never changes a single output byte.  The decoders,
+the gate composition and the line driver defined here are shared by every
+streaming subcommand, so ``filter`` decides a line exactly as ``run`` does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
 from .config import PipelineConfig
 from .filters import (
     REJECT_REASONS,
+    FilterDecision,
     ThumbnailEvidence,
     metadata_gate,
     thumbnail_gate,
@@ -33,12 +38,24 @@ from .model import (
     VideoRecord,
     dump_line,
     example_to_json,
+    list_field,
+    metadata_from_json,
+    numbered_lines,
+    record_from_json,
     validate_record,
+    word_from_json,
 )
 from .segmenting import PackStats, pack_examples, segment_transcript
 from .tokenizers import load_tokenizer, tokenize_words
 
 _CHUNKSIZE = 8
+
+ACCEPTED, REJECTED, ERROR = "accepted", "rejected", "error"
+Outcome = tuple[str, Any]  # (status, payload): a record, a reject reason or a message
+# What a malformed line can raise; each becomes a data error, never a
+# traceback.  json.JSONDecodeError and UnicodeDecodeError are ValueErrors, and
+# JSON nested too deeply for the parser raises RecursionError.
+DATA_ERRORS = (ValueError, TypeError, KeyError, OverflowError, RecursionError)
 
 _worker_cfg: PipelineConfig | None = None
 _worker_tok = None
@@ -83,10 +100,89 @@ def _init_worker(cfg_fields: dict[str, Any]) -> None:
     _worker_tok = load_tokenizer(_worker_cfg.tokenizer_path)
 
 
+def check_line(obj: Any) -> dict[str, Any]:
+    """A parsed line, checked to be an object of the supported schema version."""
+    if not isinstance(obj, dict):
+        raise ValueError("line must hold a JSON object")
+    version = obj.get("schema_version", SCHEMA_VERSION)
+    if str(version) != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
+    return obj
+
+
+def decode_video(obj: Any) -> tuple[VideoRecord, list[TimedWord]]:
+    """A raw video line as its metadata (no segments) and its timed words."""
+    meta = metadata_from_json(check_line(obj))
+    words = list_field(obj, "words", word_from_json) if "words" in obj else []
+    return meta, words
+
+
+def decode_record(obj: Any) -> VideoRecord:
+    """A segmented video record (``segment`` output, ``pack`` input), validated.
+
+    The token cap per segment is chosen when ``segment`` runs, so any
+    segment length passes here; every other invariant is checked.
+    """
+    return _checked(record_from_json(check_line(obj)), sys.maxsize)
+
+
+def apply_gates(
+    meta: VideoRecord, obj: dict[str, Any], cfg: PipelineConfig
+) -> FilterDecision:
+    """The metadata gate, then the thumbnail gate if metadata passes.
+
+    Thumbnails are optional and decoded only when the thumbnail gate runs.
+    """
+    decision = metadata_gate(meta, max_duration_s=cfg.max_duration_s)
+    if decision.accepted and "thumbnails" in obj:
+        thumbs = obj["thumbnails"]
+        decision = thumbnail_gate(
+            ThumbnailEvidence(thumbs["object_probs"], thumbs["features"]),
+            prob_threshold=cfg.prob_threshold,
+            min_objects=cfg.min_objects,
+            sim_threshold=cfg.sim_threshold,
+            distinct_classes=cfg.distinct_classes,
+        )
+    return decision
+
+
+def segment_video(
+    meta: VideoRecord, words: list[TimedWord], cfg: PipelineConfig, tokenizer
+) -> VideoRecord:
+    """Tokenize and segment one transcript into a validated record."""
+    tokens = tokenize_words(words, tokenizer)
+    segments = segment_transcript(tokens, l_max=cfg.tokens_per_segment)
+    record = dataclasses.replace(meta, segments=segments)
+    return _checked(record, cfg.tokens_per_segment)
+
+
+def _checked(record: VideoRecord, l_max: int) -> VideoRecord:
+    violations = validate_record(record, l_max=l_max)
+    if violations:
+        raise ValueError(f"invalid record: {'; '.join(str(v) for v in violations[:3])}")
+    return record
+
+
+def line_outcome(handle: Callable[..., Outcome], raw: str | bytes, *args) -> Outcome:
+    """``handle(json.loads(raw), *args)``, or ("error", message) on a data error."""
+    try:
+        return handle(json.loads(raw), *args)
+    except DATA_ERRORS as e:
+        return ERROR, f"{type(e).__name__}: {e}"
+
+
+def _video_outcome(obj: Any, cfg: PipelineConfig, tokenizer) -> Outcome:
+    meta, words = decode_video(obj)
+    decision = apply_gates(meta, obj, cfg)
+    if not decision.accepted:
+        return REJECTED, decision.reason
+    return ACCEPTED, segment_video(meta, words, cfg, tokenizer)
+
+
 def process_video_line(
-    raw: str, config: PipelineConfig | None = None, tokenizer=None
-) -> tuple[str, Any]:
-    """One video through parse, gates, and segmentation.
+    raw: str | bytes, config: PipelineConfig | None = None, tokenizer=None
+) -> Outcome:
+    """One video through decode, gates, and segmentation.
 
     Returns ("error", message), ("rejected", reason), or
     ("accepted", VideoRecord).  Without an explicit config this reads the
@@ -98,76 +194,58 @@ def process_video_line(
     tok = tokenizer if tokenizer is not None else _worker_tok
     if tok is None:
         tok = load_tokenizer(cfg.tokenizer_path)
-    try:
-        obj = json.loads(raw)
-        if not isinstance(obj, dict):
-            raise ValueError("record must be a JSON object")
-        video_id = str(obj["video_id"])
-        duration_s = float(obj["duration_s"])
-        category = str(obj["category"])
-        has_asr = bool(obj["has_english_asr"])
-        words = [
-            TimedWord(
-                text=str(w["text"]),
-                start_s=float(w["start_s"]),
-                end_s=float(w["end_s"]),
-            )
-            for w in obj.get("words", [])
-        ]
+    return line_outcome(_video_outcome, raw, cfg, tok)
 
-        meta = VideoRecord(
-            video_id=video_id,
-            duration_s=duration_s,
-            category=category,
-            has_english_asr=has_asr,
-        )
-        decision = metadata_gate(meta, max_duration_s=cfg.max_duration_s)
-        if decision.accepted and "thumbnails" in obj:
-            ev = ThumbnailEvidence(
-                object_probs=obj["thumbnails"]["object_probs"],
-                features=obj["thumbnails"]["features"],
-            )
-            decision = thumbnail_gate(
-                ev,
-                prob_threshold=cfg.prob_threshold,
-                min_objects=cfg.min_objects,
-                sim_threshold=cfg.sim_threshold,
-                distinct_classes=cfg.distinct_classes,
-            )
-        if not decision.accepted:
-            return "rejected", decision.reason
 
-        tokens = tokenize_words(words, tok)
-        segments = segment_transcript(tokens, l_max=cfg.tokens_per_segment)
-        record = VideoRecord(
-            video_id=video_id,
-            duration_s=duration_s,
-            category=category,
-            has_english_asr=has_asr,
-            segments=tuple(segments),
-        )
-        violations = validate_record(record, l_max=cfg.tokens_per_segment)
-        if violations:
-            raise ValueError(
-                f"invalid record: {'; '.join(str(v) for v in violations[:3])}"
-            )
-        return "accepted", record
-    except (json.JSONDecodeError, ValueError, TypeError, KeyError) as e:
-        return "error", f"{type(e).__name__}: {e}"
+def outcomes(
+    results: Iterable[tuple[int, Outcome]],
+    on_error: Callable[[int, str], None],
+    tally: Counter,
+) -> Iterator[Outcome]:
+    """Every numbered outcome, counted in ``tally`` by status, in input order.
+
+    A data error goes to ``on_error(lineno, message)`` instead of being yielded.
+    """
+    for lineno, (status, payload) in results:
+        tally[status] += 1
+        if status == ERROR:
+            on_error(lineno, payload)
+        else:
+            yield status, payload
+
+
+def _numbered_video_line(item: tuple[int, Any]) -> tuple[int, Outcome]:
+    lineno, raw = item
+    return lineno, process_video_line(raw)
 
 
 def _result_stream(
-    lines: list[str], cfg: PipelineConfig, jobs: int
-) -> Iterator[tuple[str, Any]]:
+    numbered: Iterator[tuple[int, Any]], cfg: PipelineConfig, jobs: int
+) -> Iterator[tuple[int, Outcome]]:
     if jobs <= 1:
         _init_worker(cfg.to_json())
-        for raw in lines:
-            yield process_video_line(raw)
+        yield from map(_numbered_video_line, numbered)
         return
     with multiprocessing.Pool(
         processes=jobs, initializer=_init_worker, initargs=(cfg.to_json(),)
     ) as pool:
-        yield from pool.imap(process_video_line, lines, chunksize=_CHUNKSIZE)
+        yield from pool.imap(_numbered_video_line, numbered, chunksize=_CHUNKSIZE)
+
+
+def write_examples(
+    records: Iterable[VideoRecord], cfg: PipelineConfig, output_fp: IO[str]
+) -> PackStats:
+    """Pack records into examples and write each as a JSON line."""
+    stats = PackStats()
+    for example in pack_examples(
+        records,
+        n_segments=cfg.segments_per_example,
+        cross_video=cfg.cross_video,
+        stats=stats,
+    ):
+        output_fp.write(dump_line(example_to_json(example)))
+        output_fp.write("\n")
+    return stats
 
 
 def run_pipeline(
@@ -181,30 +259,25 @@ def run_pipeline(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     manifest = RunManifest(config=config.to_json(), config_sha256=config.sha256())
-    lines = [line for line in (l.strip() for l in input_fp) if line]
+
+    def sample(lineno: int, message: str) -> None:
+        if len(manifest.error_samples) < max_error_samples:
+            manifest.error_samples.append(message)
+
+    tally: Counter = Counter()
+    results = _result_stream(numbered_lines(input_fp), config, jobs)
 
     def accepted_records() -> Iterator[VideoRecord]:
-        for status, payload in _result_stream(lines, config, jobs):
-            manifest.input_records += 1
-            if status == "error":
-                manifest.data_errors += 1
-                if len(manifest.error_samples) < max_error_samples:
-                    manifest.error_samples.append(str(payload))
-            elif status == "rejected":
+        for status, payload in outcomes(results, sample, tally):
+            if status == REJECTED:
                 manifest.rejected[payload] += 1
             else:
-                manifest.accepted += 1
                 yield payload
 
-    stats = PackStats()
-    for example in pack_examples(
-        accepted_records(),
-        n_segments=config.segments_per_example,
-        cross_video=config.cross_video,
-        stats=stats,
-    ):
-        output_fp.write(dump_line(example_to_json(example)))
-        output_fp.write("\n")
+    stats = write_examples(accepted_records(), config, output_fp)
+    manifest.input_records = sum(tally.values())
+    manifest.accepted = tally[ACCEPTED]
+    manifest.data_errors = tally[ERROR]
     manifest.segments = stats.segments_in
     manifest.examples = stats.examples_out
     manifest.segments_dropped = stats.segments_dropped

@@ -12,7 +12,7 @@ fixed-size blocks; the trailing remainder is dropped, never padded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .model import PackedExample, Segment, TimedToken, VideoRecord
 
@@ -166,8 +166,8 @@ def group_for_joint(example: PackedExample, group: int = 4) -> list[tuple[Segmen
     ]
 
 
-def frame_manifest(records: Iterable[VideoRecord]) -> Iterator[tuple[str, float]]:
-    """Yield (video_id, frame_time_s) for every segment, for frame extraction."""
+def frame_manifest(records: Iterable[VideoRecord]) -> Iterator[dict[str, Any]]:
+    """A ``{video_id, frame_time_s}`` row per segment, for frame extraction."""
     for record in records:
         for seg in record.segments:
-            yield record.video_id, seg.frame_time_s
+            yield {"video_id": record.video_id, "frame_time_s": seg.frame_time_s}

@@ -68,6 +68,14 @@ def test_align_bad_line_gives_exit_one(capsys, monkeypatch):
     assert code == 1
     assert "line 1" in err
     assert json.loads(out)["total_cost"] == 0
+    # Noisy word times must be finite, non-negative numbers, not booleans.
+    bad = json.dumps(
+        {"noisy": [{"text": "a", "start_s": -3, "end_s": True}], "clean": ["a"]}
+    )
+    code, out, err = run_cli(capsys, ["align"], bad + "\n" + good + "\n", monkeypatch)
+    assert code == 1
+    assert "line 1: skipped" in err and "noisy[0]: start_s" in err
+    assert len(out.splitlines()) == 1
 
 
 def test_corrupt_deterministic_per_doc_id(capsys, monkeypatch):
@@ -272,6 +280,21 @@ def test_unknown_schema_version_is_data_error(capsys, monkeypatch):
     assert code == 1
     assert "schema_version" in err
     assert out == ""
+    # Every video subcommand checks the version, run included.
+    video = json.dumps(
+        {
+            "schema_version": "9",
+            "video_id": "v",
+            "duration_s": 1.0,
+            "category": "Howto",
+            "has_english_asr": True,
+        }
+    )
+    for argv in (["filter"], ["segment"], ["pack"], ["run"]):
+        code, out, err = run_cli(capsys, argv, video + "\n", monkeypatch)
+        assert code == 1, argv
+        assert "unsupported schema_version '9'" in err
+        assert out == ""
 
 
 def test_missing_input_file_is_fatal(capsys):
@@ -308,3 +331,147 @@ def test_selfcheck_forced_failure_reports_diagnostic(capsys):
     assert code == 1
     assert "FAIL" in out
     assert "temperature" in out
+
+
+def video_obj(**overrides):
+    obj = {
+        "video_id": "v",
+        "duration_s": 10.0,
+        "category": "Howto",
+        "has_english_asr": True,
+        "words": [
+            {"text": "hi", "start_s": 0.0, "end_s": 0.4},
+            {"text": "there", "start_s": 0.5, "end_s": 0.9},
+        ],
+    }
+    obj.update(overrides)
+    return obj
+
+
+@pytest.mark.parametrize("command", ["filter", "segment", "run"])
+def test_strict_boundary_types_are_data_errors(capsys, monkeypatch, command):
+    nan_probs = {"object_probs": [[float("nan")] * 3] * 4, "features": [[1.0, 0.0]] * 4}
+    lines = [
+        (json.dumps(video_obj(duration_s=float("inf"))), "duration_s"),
+        (json.dumps(video_obj(duration_s=0.5)).replace("0.5", "1e999"), "duration_s"),
+        (json.dumps(video_obj(has_english_asr="false")), "has_english_asr"),
+        (
+            json.dumps(video_obj(words=[{"text": "a", "start_s": -3, "end_s": True}])),
+            "words[0]: start_s",
+        ),
+    ]
+    if command != "segment":  # segment runs no gates, so it never reads thumbnails
+        lines.append((json.dumps(video_obj(thumbnails=nan_probs)), "probabilities"))
+    for line, where in lines:
+        code, _, err = run_cli(capsys, [command], line + "\n", monkeypatch)
+        assert code == 1, line
+        assert "Traceback" not in err
+        assert where in err, err
+
+
+def test_pack_validates_every_record_and_skips_non_objects(capsys, monkeypatch):
+    token = {"id": 1, "word_index": 0, "start_s": 0.0, "end_s": 1.0}
+    good = {
+        "video_id": "v",
+        "duration_s": 5.0,
+        "category": "c",
+        "has_english_asr": True,
+        "segments": [{"tokens": [token], "frame_time_s": 0.5, "variant": "clean"}],
+    }
+    regressing = dict(
+        good,
+        segments=[
+            {
+                "tokens": [dict(token, word_index=3), dict(token, id=2, word_index=1)],
+                "frame_time_s": 9.0,
+                "variant": "clean",
+            }
+        ],
+    )
+    text = "\n".join(["[1,2]", json.dumps(regressing), json.dumps(good)]) + "\n"
+    code, out, err = run_cli(
+        capsys, ["pack", "--segments-per-example", "1"], text, monkeypatch
+    )
+    assert code == 1
+    assert "line 1: skipped" in err and "JSON object" in err
+    assert "line 2: skipped" in err
+    assert "word_index" in err and "frame_time_s" in err
+    rows = [json.loads(l) for l in out.splitlines()]
+    assert [row["provenance"] for row in rows] == [[["v", 0]]]
+
+
+def test_eval_story_malformed_line_is_fatal(capsys, tmp_path):
+    tables = tmp_path / "tables.jsonl"
+    truths = tmp_path / "truths.jsonl"
+    tables.write_text("[1,2]\n")
+    truths.write_text(json.dumps({"order": [0]}) + "\n")
+    code, out, err = run_cli(
+        capsys, ["eval-story", "--tables", str(tables), "--truths", str(truths)]
+    )
+    assert code == 2
+    assert "error:" in err and "JSON object" in err
+    assert out == ""
+
+
+def test_segment_frame_manifest(capsys, monkeypatch, tmp_path):
+    frames = tmp_path / "frames.jsonl"
+    words = [{"text": "abcdefgh", "start_s": k * 1.0, "end_s": k + 0.5} for k in range(6)]
+    text = json.dumps(video_obj(words=words)) + "\n" + "{bad\n"
+    code, out, _ = run_cli(
+        capsys,
+        ["segment", "--tokens-per-segment", "16", "--frame-manifest", str(frames)],
+        text,
+        monkeypatch,
+    )
+    assert code == 1
+    record = json.loads(out)
+    rows = [json.loads(l) for l in frames.read_text().splitlines()]
+    assert rows == [
+        {"video_id": "v", "frame_time_s": seg["frame_time_s"]}
+        for seg in record["segments"]
+    ]
+    assert [r["frame_time_s"] for r in rows] == [0.75, 2.75, 4.75]
+
+
+def test_undecodable_and_deeply_nested_lines_are_data_errors(capsys, tmp_path, data_dir):
+    good = (data_dir / "golden_input.jsonl").read_bytes().splitlines()
+    src = tmp_path / "in.jsonl"
+    bad = [b'{"video_id": "\xff\xfe"}', b"[" * 100000]
+    src.write_bytes(b"\n".join(good[:3] + bad + good[3:]) + b"\n")
+    runs = []
+    for jobs in ("1", "2"):
+        out, manifest = tmp_path / f"out{jobs}.jsonl", tmp_path / f"m{jobs}.json"
+        argv = ["run", "--jobs", jobs, "--input", str(src), "--output", str(out)]
+        code = main(argv + ["--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "UnicodeDecodeError" in err and "RecursionError" in err
+        runs.append((out.read_bytes(), manifest.read_bytes()))
+    assert runs[0] == runs[1]
+    counts = json.loads(runs[0][1])["counts"]
+    assert counts["input_records"] == len(good) + 2
+    assert counts["data_errors"] == 2
+    code, out, err = run_cli(capsys, ["filter", "--input", str(src)])
+    assert code == 1
+    assert "line 4: skipped (UnicodeDecodeError" in err
+    assert "line 5: skipped (RecursionError" in err
+    assert len(out.splitlines()) == len(good)
+
+
+def test_pack_takes_segments_longer_than_the_default_cap(capsys, monkeypatch):
+    words = [{"text": f"w{k}", "start_s": k * 0.1, "end_s": k * 0.1 + 0.05} for k in range(60)]
+    code, segmented, _ = run_cli(
+        capsys,
+        ["segment", "--tokens-per-segment", "64"],
+        json.dumps(video_obj(words=words, duration_s=30.0)) + "\n",
+        monkeypatch,
+    )
+    assert code == 0
+    lengths = [len(seg["tokens"]) for seg in json.loads(segmented)["segments"]]
+    assert max(lengths) > 32
+    code, packed, err = run_cli(
+        capsys, ["pack", "--segments-per-example", "1"], segmented, monkeypatch
+    )
+    assert code == 0 and "skipped" not in err
+    rows = [json.loads(l) for l in packed.splitlines()]
+    assert [len(row["segments"][0]["tokens"]) for row in rows] == lengths

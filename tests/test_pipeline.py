@@ -54,6 +54,40 @@ def test_malformed_lines_become_errors():
                                                "category": "c", "has_english_asr": True,
                                                "words": []}))
     assert kind == "error"
+    # Strict boundary types: each line names the offending field.
+    thumbs = {"object_probs": [[float("nan")] * 3] * 4, "features": [[1.0, 0.0]] * 4}
+    for line, where in [
+        (video_line(duration_s=float("inf")), "duration_s"),
+        (video_line(duration_s=float("nan")), "duration_s"),
+        (video_line(duration_s="BIG").replace('"BIG"', "1e999"), "duration_s"),
+        (video_line(duration_s="BIG").replace('"BIG"', "1" + "0" * 400), "duration_s"),
+        (video_line(duration_s=-1.0), "duration_s"),
+        (video_line(has_english_asr="false"), "has_english_asr"),
+        (video_line(has_english_asr=0), "has_english_asr"),
+        (video_line(video_id=7), "video_id"),
+        (video_line(words=[{"text": "a", "start_s": -3, "end_s": True}]), "words[0]: start_s"),
+        (video_line(words=[{"text": "a", "start_s": 0, "end_s": True}]), "words[0]: end_s"),
+        (video_line(words=[{"text": "a", "start_s": 0, "end_s": "1"}]), "words[0]: end_s"),
+        (video_line(words=[{"text": 5, "start_s": 0, "end_s": 1}]), "words[0]: text"),
+        (video_line(words={"text": "a"}), "words"),
+        (video_line(thumbnails=thumbs), "object probabilities"),
+        (video_line(schema_version="9"), "schema_version"),
+        ("[1, 2]", "JSON object"),
+    ]:
+        kind, msg = process_video_line(line)
+        assert kind == "error", line
+        assert where in msg, msg
+
+
+def test_word_error_beats_rejection_and_thumbnails_wait_for_metadata():
+    bad_word = [{"text": "a", "start_s": 2.0, "end_s": 1.0}]
+    kind, _ = process_video_line(video_line(has_english_asr=False, words=bad_word))
+    assert kind == "error"
+    # A failed metadata gate leaves the thumbnails undecoded.
+    kind, reason = process_video_line(video_line(category="Gaming", thumbnails="junk"))
+    assert (kind, reason) == ("rejected", "gaming_category")
+    kind, _ = process_video_line(video_line(thumbnails="junk"))
+    assert kind == "error"
 
 
 def test_manifest_counts_are_consistent():
