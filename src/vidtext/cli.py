@@ -39,6 +39,8 @@ from .model import (
     numbered_lines,
     read_jsonl,
     record_to_json,
+    typed_field,
+    typed_list,
     word_from_json,
     write_jsonl,
 )
@@ -306,9 +308,9 @@ def _cmd_loss(args) -> int:
 
 def _cmd_score_order(args) -> int:
     def handle(obj: Any) -> dict[str, Any]:
-        n = int(check_line(obj)["n"])
-        classes = int(obj.get("classes", 4))
-        flat = [float(x) for x in obj["log_probs"]]
+        n = typed_field(check_line(obj), "n", int)
+        classes = typed_field(obj, "classes", int) if "classes" in obj else 4
+        flat = typed_list(obj, "log_probs", float)
         if classes == 4:
             table = PairwiseRelationTable.from_flat(n, flat)
             perm, score = best_ordering(table)
@@ -334,10 +336,12 @@ def _read_objects(path: str) -> list[dict[str, Any]]:
 
 def _cmd_eval_story(args) -> int:
     tables = [
-        PairwiseRelationTable.from_flat(int(o["n"]), [float(x) for x in o["log_probs"]])
+        PairwiseRelationTable.from_flat(
+            typed_field(o, "n", int), typed_list(o, "log_probs", float)
+        )
         for o in _read_objects(args.tables)
     ]
-    truths = [[int(x) for x in obj["order"]] for obj in _read_objects(args.truths)]
+    truths = [typed_list(obj, "order", int) for obj in _read_objects(args.truths)]
     report = evaluate_story_set(tables, truths, footrule=args.footrule)
     print(dump_line({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report)}))
     return 0

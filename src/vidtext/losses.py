@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf, logsumexp
 
-LABEL_SENTINEL = -100
+from .masking import LABEL_SENTINEL
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)

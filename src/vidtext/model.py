@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Iterator
 
@@ -260,15 +261,22 @@ def _member(obj: dict[str, Any], key: str) -> Any:
         raise ValueError(f"{key} is missing") from None
 
 
-_KINDS = {str: "a string", bool: "true or false", int: "an integer"}
+_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a finite number"}
 
 
-def _typed_field(obj: dict[str, Any], key: str, kind: type) -> Any:
-    """``obj[key]`` if it is exactly of JSON type ``kind`` (a bool is no int)."""
-    value = _member(obj, key)
-    if type(value) is not kind:
-        raise ValueError(f"{key} must be {_KINDS[kind]}, got {value!r:.40}")
-    return value
+def _typed(value: Any, kind: type, where: str) -> Any:
+    """``value`` if it is exactly of JSON type ``kind`` (a bool is no int); for
+    ``float``, any finite JSON number, returned as a float."""
+    if type(value) is kind and kind is not float:
+        return value
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # NaN fails the comparison, a huge integer exceeds it
+    raise ValueError(f"{where} must be {_KINDS[kind]}, got {value!r:.40}")
+
+
+def typed_field(obj: dict[str, Any], key: str, kind: type) -> Any:
+    """``obj[key]``, checked by ``_typed``."""
+    return _typed(_member(obj, key), kind, key)
 
 
 def _seconds_field(obj: dict[str, Any], key: str) -> float:
@@ -283,13 +291,22 @@ def _seconds_field(obj: dict[str, Any], key: str) -> float:
     raise ValueError(f"{key} must be a finite number >= 0, got {value!r:.40}")
 
 
-def list_field(obj: dict[str, Any], key: str, decode: Callable) -> list:
-    """Decode a list of objects; errors are prefixed with ``key[index]``."""
+def _list_member(obj: dict[str, Any], key: str) -> list:
     items = _member(obj, key)
     if type(items) is not list:
         raise ValueError(f"{key} must be a list, got {items!r:.40}")
+    return items
+
+
+def typed_list(obj: dict[str, Any], key: str, kind: type) -> list:
+    """A list of JSON values, each checked by ``_typed``."""
+    return [_typed(item, kind, f"{key}[{k}]") for k, item in enumerate(_list_member(obj, key))]
+
+
+def list_field(obj: dict[str, Any], key: str, decode: Callable) -> list:
+    """Decode a list of objects; errors are prefixed with ``key[index]``."""
     out = []
-    for k, item in enumerate(items):
+    for k, item in enumerate(_list_member(obj, key)):
         if type(item) is not dict:
             raise ValueError(f"{key}[{k}] must be an object, got {item!r:.40}")
         try:
@@ -310,8 +327,8 @@ def token_to_json(tok: TimedToken) -> dict[str, Any]:
 
 def token_from_json(obj: dict[str, Any]) -> TimedToken:
     return TimedToken(
-        id=_typed_field(obj, "id", int),
-        word_index=_typed_field(obj, "word_index", int),
+        id=typed_field(obj, "id", int),
+        word_index=typed_field(obj, "word_index", int),
         start_s=_seconds_field(obj, "start_s"),
         end_s=_seconds_field(obj, "end_s"),
     )
@@ -319,7 +336,7 @@ def token_from_json(obj: dict[str, Any]) -> TimedToken:
 
 def word_from_json(obj: dict[str, Any]) -> TimedWord:
     return TimedWord(
-        text=_typed_field(obj, "text", str),
+        text=typed_field(obj, "text", str),
         start_s=_seconds_field(obj, "start_s"),
         end_s=_seconds_field(obj, "end_s"),
     )
@@ -337,7 +354,7 @@ def segment_from_json(obj: dict[str, Any]) -> Segment:
     return Segment(
         tokens=list_field(obj, "tokens", token_from_json),
         frame_time_s=_seconds_field(obj, "frame_time_s"),
-        variant=_typed_field(obj, "variant", str),
+        variant=typed_field(obj, "variant", str),
     )
 
 
@@ -355,10 +372,10 @@ def record_to_json(record: VideoRecord) -> dict[str, Any]:
 def metadata_from_json(obj: dict[str, Any]) -> VideoRecord:
     """The video-level fields of a record, without segments."""
     record = VideoRecord(
-        video_id=_typed_field(obj, "video_id", str),
+        video_id=typed_field(obj, "video_id", str),
         duration_s=_seconds_field(obj, "duration_s"),
-        category=_typed_field(obj, "category", str),
-        has_english_asr=_typed_field(obj, "has_english_asr", bool),
+        category=typed_field(obj, "category", str),
+        has_english_asr=typed_field(obj, "has_english_asr", bool),
     )
     if not record.video_id:
         raise ValueError("video_id must be non-empty")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ CLASS_BEFORE = 1  # caption precedes the frame
 CLASS_AFTER = 2
 CLASS_DIFFERENT = 3
 
-MAX_EXHAUSTIVE_N = 8
+MAX_FRAMES = 16  # best_frame_ordering's subset table holds 2^n * n values
 
 
 def relation_class(caption_pos: int, frame_slot: int) -> int:
@@ -101,9 +100,7 @@ class PairwiseRelationTable:
             raise ValueError(f"correct_mass must be in (0, 1), got {correct_mass}")
         rest = math.log((1.0 - correct_mass) / 3.0)
         lp = np.full((n, n, 4), rest)
-        for j in range(n):
-            for i in range(n):
-                lp[i, j, relation_class(i, perm[j])] = math.log(correct_mass)
+        np.put_along_axis(lp, _class_matrix(perm)[:, :, None], math.log(correct_mass), axis=2)
         return cls(lp)
 
     def to_two_way(self) -> np.ndarray:
@@ -130,38 +127,26 @@ def score_permutation(table: PairwiseRelationTable, sigma: Sequence[int]) -> flo
     return float(picked.sum())
 
 
-@lru_cache(maxsize=None)
-def _all_permutations(n: int) -> np.ndarray:
-    # Lexicographic order; argmax picking the first maximum realizes the
-    # documented tie-break.
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-
-
 def _slot_scores(table: PairwiseRelationTable) -> np.ndarray:
     """S[j, s] = score contribution of placing element j at slot s."""
-    n = table.n
-    out = np.empty((n, n))
-    captions = np.arange(n)
-    for s in range(n):
-        cls = np.where(captions < s, CLASS_BEFORE, CLASS_AFTER)
-        cls[captions == s] = CLASS_SAME
-        out[:, s] = table.log_probs[captions, :, cls].sum(axis=0)
-    return out
+    cls = _class_matrix(tuple(range(table.n)))  # cls[i, s]: caption i vs slot s
+    captions = np.arange(table.n)
+    return np.stack([table.log_probs[captions, :, c].sum(axis=0) for c in cls.T], axis=1)
 
 
 def best_ordering(table: PairwiseRelationTable) -> tuple[tuple[int, ...], float]:
-    """Exhaustive argmax of ``score_permutation``; ties pick the
-    lexicographically smallest permutation."""
-    n = table.n
-    if n > MAX_EXHAUSTIVE_N:
-        raise ValueError(
-            f"exhaustive search is capped at n={MAX_EXHAUSTIVE_N}, got n={n}"
-        )
+    """Argmax of ``score_permutation`` as one assignment of elements to slots;
+    ties pick the lexicographically smallest permutation."""
     scores = _slot_scores(table)
-    perms = _all_permutations(n)
-    totals = scores[np.arange(n)[None, :], perms].sum(axis=1)
-    best = int(np.argmax(totals))
-    return tuple(int(s) for s in perms[best]), float(totals[best])
+    finite = scores[np.isfinite(scores)]
+    low, high = finite.min(initial=0.0), finite.max(initial=0.0)
+    # A -inf slot score becomes one low enough to lose to every finite assignment.
+    pairs, _ = hungarian_match(np.maximum(scores, low - table.n * (high - low) - 1.0))
+    perm = tuple(col for _, col in pairs)
+    score = score_permutation(table, perm)
+    if score == -math.inf:  # then every permutation scores -inf, so all tie
+        perm = tuple(range(table.n))
+    return perm, score
 
 
 def frame_order_score(two_way: np.ndarray, sigma: Sequence[int]) -> float:
@@ -170,9 +155,7 @@ def frame_order_score(two_way: np.ndarray, sigma: Sequence[int]) -> float:
     ``two_way[i, j, 0]`` is the log-probability that frame ``i`` comes before
     frame ``j``; diagonal cells are ignored.
     """
-    lp = np.asarray(two_way, dtype=np.float64)
-    if lp.ndim != 3 or lp.shape[0] != lp.shape[1] or lp.shape[2] != 2:
-        raise ValueError(f"two-way table must be (n, n, 2), got shape {lp.shape}")
+    lp = _two_way_array(two_way)
     perm = check_permutation(sigma, lp.shape[0])
     total = 0.0
     for i, j in itertools.permutations(range(lp.shape[0]), 2):
@@ -180,22 +163,51 @@ def frame_order_score(two_way: np.ndarray, sigma: Sequence[int]) -> float:
     return float(total)
 
 
-def best_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Exhaustive argmax of ``frame_order_score``, same cap and tie-break."""
+def _two_way_array(two_way: np.ndarray) -> np.ndarray:
     lp = np.asarray(two_way, dtype=np.float64)
+    if lp.ndim != 3 or lp.shape[0] != lp.shape[1] or lp.shape[2] != 2:
+        raise ValueError(f"two-way table must be (n, n, 2), got shape {lp.shape}")
+    return lp
+
+
+def best_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """Exact argmax of ``frame_order_score`` for n up to ``MAX_FRAMES``, by dynamic
+    programming over the set of frames in the first slots (Held & Karp 1962).
+    Ties follow ``hungarian_match``: frame 0, then 1 and so on takes its smallest
+    slot whose constrained optimum is within tolerance of the best."""
+    lp = _two_way_array(two_way)
     n = lp.shape[0]
-    if n > MAX_EXHAUSTIVE_N:
-        raise ValueError(
-            f"exhaustive search is capped at n={MAX_EXHAUSTIVE_N}, got n={n}"
-        )
-    best_perm: tuple[int, ...] | None = None
-    best_score = -math.inf
-    for cand in itertools.permutations(range(n)):
-        s = frame_order_score(lp, cand)
-        if s > best_score:
-            best_perm, best_score = cand, s
-    assert best_perm is not None
-    return best_perm, best_score
+    if n > MAX_FRAMES:
+        raise ValueError(f"frame ordering is bounded at n={MAX_FRAMES}, got n={n}")
+    ahead = lp[:, :, 0] + lp[:, :, 1].T  # ahead[e, k]: what placing e before k earns
+    np.fill_diagonal(ahead, 0.0)
+    if not (ahead < np.inf).all():
+        raise ValueError("log-probabilities must be < inf and not NaN")
+    gains = np.zeros((1, n))
+    for k in range(n):  # gains[placed, e] = sum of ahead[e, k] over the unplaced k
+        gains = np.concatenate([gains + ahead[:, k], gains])
+    sets = np.arange(1 << n)
+    size = sum((sets >> k) & 1 for k in range(n))
+    starts = [[sets[(size == s) & ((sets >> e) & 1 == 0)] for e in range(n)] for s in range(n)]
+
+    def optimum(allowed: np.ndarray) -> float:
+        """Best score when frame e may take slot s only where allowed[s, e]."""
+        value = np.where(sets == 0, 0.0, -np.inf)
+        for s, e in zip(*np.nonzero(allowed)):  # by slot, so each set is final when read
+            src = starts[s][e]
+            value[src | 1 << e] = np.maximum(value[src | 1 << e], value[src] + gains[src, e])
+        return float(value[-1])
+
+    allowed = np.ones((n, n), dtype=bool)
+    best = optimum(allowed)
+    for e in range(n):
+        for s in np.flatnonzero(allowed[:, e]):  # try frame e alone at slot s
+            trial = allowed & ((np.arange(n)[:, None] == s) == (np.arange(n) == e))
+            if math.isclose(optimum(trial), best, rel_tol=1e-9, abs_tol=1e-9):
+                break
+        allowed = trial
+    perm = tuple(int(np.flatnonzero(allowed[:, e])[0]) for e in range(n))
+    return perm, frame_order_score(lp, perm)
 
 
 def hungarian_match(similarity) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -285,16 +297,10 @@ def story_metrics(
     n = len(truth)
     pred = check_permutation(predicted, n)
     true = check_permutation(truth, n)
-    if len(pred) != n:
-        raise ValueError(f"predicted has {len(pred)} elements, truth has {n}")
     rho = spearman_positions(pred, true)
-    agree = 0
-    pair_count = 0
-    for e, f in itertools.combinations(range(n), 2):
-        pair_count += 1
-        if (pred[e] < pred[f]) == (true[e] < true[f]):
-            agree += 1
-    accuracy = agree / pair_count if pair_count else 1.0
+    pairs = list(itertools.combinations(range(n), 2))
+    agree = sum((pred[e] < pred[f]) == (true[e] < true[f]) for e, f in pairs)
+    accuracy = agree / len(pairs) if pairs else 1.0
     disp = sum(abs(p - t) for p, t in zip(pred, true))
     distance = float(disp) if footrule else disp / n
     return rho, accuracy, distance
@@ -305,26 +311,18 @@ def evaluate_story_set(
     truths: Sequence[Sequence[int]],
     footrule: bool = False,
 ) -> StoryEvalReport:
-    """Unscramble each story exhaustively and macro-average the metrics."""
+    """Unscramble each story with ``best_ordering`` and macro-average the metrics."""
     if len(tables) == 0:
         raise ValueError("evaluate_story_set requires at least one story")
     if len(tables) != len(truths):
         raise ValueError(f"{len(tables)} tables but {len(truths)} truths")
-    rho_sum = acc_sum = dist_sum = 0.0
+    sums = (0.0, 0.0, 0.0)  # spearman, pairwise accuracy, distance
     for k, (table, truth) in enumerate(zip(tables, truths)):
         try:
             table.validate()
             predicted, _ = best_ordering(table)
-            rho, acc, dist = story_metrics(predicted, truth, footrule=footrule)
+            metrics = story_metrics(predicted, truth, footrule=footrule)
         except ValueError as e:
             raise ValueError(f"story {k}: {e}") from e
-        rho_sum += rho
-        acc_sum += acc
-        dist_sum += dist
-    n = len(tables)
-    return StoryEvalReport(
-        spearman=rho_sum / n,
-        pairwise_accuracy=acc_sum / n,
-        distance=dist_sum / n,
-        n_stories=n,
-    )
+        sums = tuple(total + x for total, x in zip(sums, metrics))
+    return StoryEvalReport(*(total / len(tables) for total in sums), n_stories=len(tables))

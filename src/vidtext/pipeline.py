@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ Outcome = tuple[str, Any]  # (status, payload): a record, a reject reason or a m
 # traceback.  json.JSONDecodeError and UnicodeDecodeError are ValueErrors, and
 # JSON nested too deeply for the parser raises RecursionError.
 DATA_ERRORS = (ValueError, TypeError, KeyError, OverflowError, RecursionError)
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 _worker_cfg: PipelineConfig | None = None
 _worker_tok = None
@@ -164,9 +166,15 @@ def _checked(record: VideoRecord, l_max: int) -> VideoRecord:
 
 
 def line_outcome(handle: Callable[..., Outcome], raw: str | bytes, *args) -> Outcome:
-    """``handle(json.loads(raw), *args)``, or ("error", message) on a data error."""
+    """``handle(json.loads(raw), *args)``, or ("error", message) on a data error,
+    which a line also is when it is not UTF-8 or a string in it does not encode
+    back to UTF-8, as with the lone surrogate escape ``"\\ud800"``."""
     try:
-        return handle(json.loads(raw), *args)
+        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
+        obj = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):  # only an escape puts a surrogate in UTF-8
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        return handle(obj, *args)
     except DATA_ERRORS as e:
         return ERROR, f"{type(e).__name__}: {e}"
 

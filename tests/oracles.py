@@ -81,6 +81,44 @@ def brute_force_best_permutation(log_probs: np.ndarray) -> tuple[tuple[int, ...]
     return best_perm, best_score
 
 
+def relation_table_score(log_probs: np.ndarray, perm) -> float:
+    """Sum of each (caption, element) cell's relation class under ``perm``."""
+    n = log_probs.shape[0]
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            cls = 0 if i == perm[j] else (1 if i < perm[j] else 2)
+            total += log_probs[i, j, cls]
+    return total
+
+
+def smallest_near_best(n: int, score) -> tuple[tuple[int, ...], float]:
+    """The lexicographically smallest permutation of range(n) whose score is
+    within 1e-9 of the best one, with its score."""
+    scored = [(perm, score(perm)) for perm in itertools.permutations(range(n))]
+    best = max(total for _, total in scored)
+    return next(
+        (perm, total)
+        for perm, total in scored  # permutations() yields lexicographic order
+        if math.isclose(total, best, rel_tol=1e-9, abs_tol=1e-9)
+    )
+
+
+def brute_force_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """Best frame order of a 2-way {before, after} table by enumeration."""
+    n = two_way.shape[0]
+
+    def score(perm) -> float:
+        total = 0.0
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    total += two_way[i, j, 0 if perm[i] < perm[j] else 1]
+        return total
+
+    return smallest_near_best(n, score)
+
+
 def greedy_word_packing(word_lengths: list[int], l_max: int) -> list[list[int]]:
     """Expected segment boundaries: word indices per segment, greedy fill."""
     segments: list[list[int]] = []

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -403,14 +404,59 @@ def test_pack_validates_every_record_and_skips_non_objects(capsys, monkeypatch):
 def test_eval_story_malformed_line_is_fatal(capsys, tmp_path):
     tables = tmp_path / "tables.jsonl"
     truths = tmp_path / "truths.jsonl"
-    tables.write_text("[1,2]\n")
-    truths.write_text(json.dumps({"order": [0]}) + "\n")
-    code, out, err = run_cli(
-        capsys, ["eval-story", "--tables", str(tables), "--truths", str(truths)]
-    )
-    assert code == 2
-    assert "error:" in err and "JSON object" in err
-    assert out == ""
+    flat = [math.log(0.25)] * 4
+    good_table = json.dumps({"n": 1, "log_probs": flat})
+    good_truth = json.dumps({"order": [0]})
+    cases = [
+        ("[1,2]", good_truth, "JSON object"),
+        (json.dumps({"n": "1", "log_probs": flat}), good_truth, "n must be an integer"),
+        (json.dumps({"n": True, "log_probs": flat}), good_truth, "n must be an integer"),
+        (
+            json.dumps({"n": 1, "log_probs": [str(x) for x in flat]}),
+            good_truth,
+            "log_probs[0] must be a finite number",
+        ),
+        (
+            json.dumps({"n": 1, "log_probs": flat[:3] + [float("nan")]}),
+            good_truth,
+            "log_probs[3] must be a finite number",
+        ),
+        (good_table, json.dumps({"order": ["0"]}), "order[0] must be an integer"),
+        (good_table, json.dumps({"order": [0.0]}), "order[0] must be an integer"),
+        (good_table, json.dumps({"order": 0}), "order must be a list"),
+    ]
+    for table_line, truth_line, message in cases:
+        tables.write_text(table_line + "\n")
+        truths.write_text(truth_line + "\n")
+        code, out, err = run_cli(
+            capsys, ["eval-story", "--tables", str(tables), "--truths", str(truths)]
+        )
+        assert code == 2, table_line + truth_line
+        assert "error:" in err and message in err, err
+        assert out == ""
+
+
+def test_score_order_malformed_lines_are_data_errors(capsys, monkeypatch):
+    flat = [math.log(0.5)] * 8
+    good = {"n": 2, "classes": 2, "log_probs": flat}
+    cases = [
+        (dict(good, n="2"), "n must be an integer"),
+        (dict(good, n=True), "n must be an integer"),
+        (dict(good, n=2.0), "n must be an integer"),
+        (dict(good, classes=True), "classes must be an integer"),
+        (dict(good, classes="2"), "classes must be an integer"),
+        (dict(good, log_probs=[str(x) for x in flat]), "log_probs[0] must be a finite number"),
+        (dict(good, log_probs=flat[:7] + [True]), "log_probs[7] must be a finite number"),
+        (dict(good, log_probs=flat[:7] + [float("inf")]), "log_probs[7] must be a finite number"),
+        (dict(good, log_probs="0.5"), "log_probs must be a list"),
+    ]
+    for obj, message in cases:
+        text = json.dumps(good) + "\n" + json.dumps(obj) + "\n"
+        code, out, err = run_cli(capsys, ["score-order"], text, monkeypatch)
+        assert code == 1, obj
+        assert "line 2: skipped" in err and message in err, err
+        assert "Traceback" not in err
+        assert [json.loads(line)["permutation"] for line in out.splitlines()] == [[0, 1]]
 
 
 def test_segment_frame_manifest(capsys, monkeypatch, tmp_path):
@@ -433,11 +479,16 @@ def test_segment_frame_manifest(capsys, monkeypatch, tmp_path):
     assert [r["frame_time_s"] for r in rows] == [0.75, 2.75, 4.75]
 
 
-def test_undecodable_and_deeply_nested_lines_are_data_errors(capsys, tmp_path, data_dir):
+def test_undecodable_and_deeply_nested_lines_are_data_errors(
+    capsys, monkeypatch, tmp_path, data_dir
+):
     good = (data_dir / "golden_input.jsonl").read_bytes().splitlines()
+    lone = json.dumps(video_obj(video_id="a\ud800")).encode()  # the escape "a\\ud800"
+    encoded = lone.replace(b"\\ud800", "\ud800".encode("utf-8", "surrogatepass"))
+    paired = json.dumps(video_obj(video_id="a\U0001F600")).encode()  # a valid escaped pair
     src = tmp_path / "in.jsonl"
-    bad = [b'{"video_id": "\xff\xfe"}', b"[" * 100000]
-    src.write_bytes(b"\n".join(good[:3] + bad + good[3:]) + b"\n")
+    bad = [b'{"video_id": "\xff\xfe"}', b"[" * 100000, lone, encoded]
+    src.write_bytes(b"\n".join(good[:3] + bad + [paired] + good[3:]) + b"\n")
     runs = []
     for jobs in ("1", "2"):
         out, manifest = tmp_path / f"out{jobs}.jsonl", tmp_path / f"m{jobs}.json"
@@ -446,16 +497,22 @@ def test_undecodable_and_deeply_nested_lines_are_data_errors(capsys, tmp_path, d
         err = capsys.readouterr().err
         assert code == 1
         assert "UnicodeDecodeError" in err and "RecursionError" in err
+        assert "UnicodeEncodeError" in err
         runs.append((out.read_bytes(), manifest.read_bytes()))
     assert runs[0] == runs[1]
     counts = json.loads(runs[0][1])["counts"]
-    assert counts["input_records"] == len(good) + 2
-    assert counts["data_errors"] == 2
+    assert counts["input_records"] == len(good) + 5
+    assert counts["data_errors"] == 4
     code, out, err = run_cli(capsys, ["filter", "--input", str(src)])
     assert code == 1
     assert "line 4: skipped (UnicodeDecodeError" in err
     assert "line 5: skipped (RecursionError" in err
-    assert len(out.splitlines()) == len(good)
+    assert "line 6: skipped (UnicodeEncodeError" in err and "surrogates not allowed" in err
+    assert "line 7: skipped (UnicodeDecodeError" in err
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == len(good) + 1 and rows[3]["video_id"] == "a\U0001F600"
+    code, out, err = run_cli(capsys, ["filter"], lone.decode() + "\n", monkeypatch)
+    assert code == 1 and "line 1: skipped (UnicodeEncodeError" in err and out == ""
 
 
 def test_pack_takes_segments_longer_than_the_default_cap(capsys, monkeypatch):

@@ -10,7 +10,10 @@ from scipy.stats import spearmanr
 from oracles import (
     brute_force_assignment,
     brute_force_best_permutation,
+    brute_force_frame_ordering,
     pairwise_accuracy_reference,
+    relation_table_score,
+    smallest_near_best,
     spearman_reference,
 )
 from vidtext.ordering import (
@@ -18,6 +21,7 @@ from vidtext.ordering import (
     CLASS_BEFORE,
     CLASS_DIFFERENT,
     CLASS_SAME,
+    MAX_FRAMES,
     PairwiseRelationTable,
     StoryEvalReport,
     best_frame_ordering,
@@ -38,6 +42,32 @@ def random_table(rng, n):
     raw = rng.normal(size=(n, n, 4))
     lp = raw - np.log(np.exp(raw).sum(axis=2, keepdims=True))
     return PairwiseRelationTable(lp)
+
+
+def logit_table(rng, n, classes, kind):
+    """Log-softmax over the class axis of random, all-equal or rounded logits;
+    the last two make many permutations tie."""
+    raw = rng.normal(size=(n, n, classes))
+    if kind == "equal":
+        raw = np.zeros_like(raw)
+    elif kind == "rounded":
+        raw = np.round(raw)
+    return raw - np.log(np.exp(raw).sum(axis=2, keepdims=True))
+
+
+def consistent_two_way(truth):
+    """A 2-way table whose every pair prefers the order of ``truth``."""
+    n = len(truth)
+    lp = np.zeros((n, n, 2))
+    for i, j in itertools.permutations(range(n), 2):
+        if truth[i] < truth[j]:
+            lp[i, j] = [math.log(0.9), math.log(0.1)]
+        else:
+            lp[i, j] = [math.log(0.1), math.log(0.9)]
+    return lp
+
+
+TABLE_KINDS = st.sampled_from(("random", "equal", "rounded"))
 
 
 def test_relation_class_cases():
@@ -65,15 +95,19 @@ def test_score_matches_cell_sum():
     assert score_permutation(table, sigma) == pytest.approx(total, rel=1e-12)
 
 
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
+@given(st.integers(min_value=1, max_value=6), TABLE_KINDS, st.integers(0, 10**6))
 @settings(max_examples=80, deadline=None)
-def test_best_ordering_matches_brute_force(n, seed):
-    rng = np.random.default_rng(seed)
-    table = random_table(rng, n)
+def test_best_ordering_matches_brute_force(n, kind, seed):
+    table = PairwiseRelationTable(logit_table(np.random.default_rng(seed), n, 4, kind))
     got_perm, got_score = best_ordering(table)
+    assert got_score == score_permutation(table, got_perm)
     exp_perm, exp_score = brute_force_best_permutation(table.log_probs)
-    assert got_perm == exp_perm
     assert got_score == pytest.approx(exp_score, rel=1e-10)
+    if kind == "rounded":
+        # Permutations tied in exact arithmetic differ by float rounding in
+        # the oracle's sum, so its first maximum is not the tie rule's pick.
+        exp_perm, _ = smallest_near_best(n, lambda p: relation_table_score(table.log_probs, p))
+    assert got_perm == exp_perm
 
 
 def test_best_ordering_tie_break_is_lexicographic():
@@ -92,15 +126,44 @@ def test_shift_invariance_of_argmax():
 
 
 def test_oracle_table_recovers_truth():
-    truth = [3, 1, 4, 0, 2]
-    table = PairwiseRelationTable.oracle_from_order(truth, correct_mass=0.97)
-    perm, _ = best_ordering(table)
-    assert perm == tuple(truth)
+    for truth in ([3, 1, 4, 0, 2], np.random.default_rng(6).permutation(12)):
+        table = PairwiseRelationTable.oracle_from_order(truth, correct_mass=0.97)
+        perm, _ = best_ordering(table)
+        assert perm == tuple(int(x) for x in truth)
 
 
-def test_exhaustive_cap():
-    with pytest.raises(ValueError, match="n=8"):
-        best_ordering(PairwiseRelationTable.uniform(9))
+@given(st.integers(min_value=1, max_value=6), TABLE_KINDS, st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_best_frame_ordering_matches_brute_force(n, kind, seed):
+    lp = logit_table(np.random.default_rng(seed), n, 2, kind)
+    got_perm, got_score = best_frame_ordering(lp)
+    assert got_score == frame_order_score(lp, got_perm)
+    exp_perm, exp_score = brute_force_frame_ordering(lp)
+    assert got_perm == exp_perm
+    assert got_score == pytest.approx(exp_score, rel=1e-9, abs=1e-9)
+
+
+def test_frame_ordering_is_bounded_at_16():
+    with pytest.raises(ValueError, match="n=16, got n=17"):
+        best_frame_ordering(np.zeros((17, 17, 2)))
+
+
+def test_zero_probability_cells_keep_the_tie_rule():
+    rng = np.random.default_rng(8)
+    lp = random_table(rng, 4).log_probs
+    lp[0, 1, :3] = -np.inf  # element 1 cannot sit at any slot: every permutation ties
+    perm, score = best_ordering(PairwiseRelationTable(lp))
+    assert perm == (0, 1, 2, 3) and score == -math.inf
+    lp = random_table(rng, 4).log_probs
+    lp[2, 0, CLASS_SAME] = -np.inf  # only rules out element 0 at slot 2
+    perm, score = best_ordering(PairwiseRelationTable(lp))
+    exp_perm, exp_score = brute_force_best_permutation(lp)
+    assert perm == exp_perm and score == pytest.approx(exp_score, rel=1e-12)
+    two = logit_table(rng, 4, 2, "random")
+    two[1, 3] = -np.inf
+    perm, score = best_frame_ordering(two)
+    exp_perm, exp_score = brute_force_frame_ordering(two)
+    assert perm == exp_perm and score == pytest.approx(exp_score, rel=1e-12)
 
 
 def test_from_flat_round_trip_and_validation():
@@ -146,17 +209,10 @@ def test_frame_order_score_sums_directed_pairs():
 
 
 def test_best_frame_ordering_recovers_consistent_table():
-    # Build a 2-way table whose pair preferences all agree with one order.
-    truth = (1, 2, 0)
-    n = 3
-    lp = np.zeros((n, n, 2))
-    for i, j in itertools.permutations(range(n), 2):
-        if truth[i] < truth[j]:
-            lp[i, j] = [math.log(0.9), math.log(0.1)]
-        else:
-            lp[i, j] = [math.log(0.1), math.log(0.9)]
-    perm, _ = best_frame_ordering(lp)
-    assert perm == truth
+    largest = tuple(int(x) for x in np.random.default_rng(7).permutation(MAX_FRAMES))
+    for truth in ((1, 2, 0), largest):
+        perm, _ = best_frame_ordering(consistent_two_way(truth))
+        assert perm == truth
 
 
 # ---------------------------------------------------------------------------
