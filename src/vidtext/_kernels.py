@@ -1,12 +1,11 @@
 """Hot inner-loop kernels with optional numba acceleration.
 
 The word-distance matrix and the alignment DP fill dominate runtime when
-aligning long transcripts, so both carry ``@njit`` versions.  Set
-``VIDTEXT_NO_NUMBA=1`` to force the pure-numpy fallbacks (they are also
-selected automatically when numba is not importable).  Both paths run
-integer arithmetic only, so results are identical bit for bit; the test
-suite exercises whichever path the environment selects and the benchmark
-script times both explicitly.
+aligning long transcripts, so both carry ``@njit`` versions.  They are used
+when numba imports (the optional ``vidtext[numba]`` extra) and the pure
+Python ``*_py`` fallbacks otherwise.  Both paths run integer arithmetic only,
+so results are identical bit for bit; when numba is installed the test suite
+checks this, and ``perfbench/run.py`` times both on its align workload.
 
 Step codes used by the alignment fill, in tie-break priority order:
 
@@ -17,24 +16,11 @@ Step codes used by the alignment fill, in tie-break priority order:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 STEP_BOTH = 0
 STEP_COL = 1
 STEP_ROW = 2
-
-
-def _want_numba() -> bool:
-    flag = os.environ.get("VIDTEXT_NO_NUMBA", "").strip().lower()
-    if flag in {"1", "true", "yes", "on"}:
-        return False
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def levenshtein_codes_py(a: np.ndarray, b: np.ndarray) -> int:
@@ -110,11 +96,9 @@ def alignment_fill_py(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return acc, step
 
 
-_USE_NUMBA = _want_numba()
-
-# The jitted variants are built whenever numba imports, regardless of the
-# env flag, so benchmarks and tests can compare both paths in one process.
-# The flag only decides which variant the public aliases point at.
+# Both variants stay importable, so benchmarks and tests can compare the
+# paths in one process; the public aliases point at the jitted one if numba
+# imports.
 try:
     from numba import njit
 
@@ -140,6 +124,7 @@ except ImportError:
     pair_cost_matrix_nb = None
     alignment_fill_nb = None
 
+_USE_NUMBA = alignment_fill_nb is not None
 if _USE_NUMBA:
     levenshtein_codes = levenshtein_codes_nb
     pair_cost_matrix = pair_cost_matrix_nb
@@ -151,7 +136,7 @@ else:
 
 
 def numba_active() -> bool:
-    """True when the jitted kernel path was selected at import time."""
+    """True when numba imported, so the public aliases are the jitted kernels."""
     return _USE_NUMBA
 
 

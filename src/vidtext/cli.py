@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from contextlib import ExitStack, nullcontext
 from collections import Counter
@@ -24,12 +25,7 @@ from . import __version__
 from .align import align_and_time
 from .arrayio import load_int_vector, load_matrix, load_order_head
 from .config import PipelineConfig, resolve_config
-from .corruption import (
-    CorruptionConfig,
-    PronunciationTable,
-    corrupt_document,
-    derive_seed,
-)
+from .corruption import PronunciationTable, corrupt_document, derive_seed
 from .losses import combine_losses, contrastive_loss, masked_lm_loss, order_logits, ordering_loss
 from .masking import AttentionProfile, apply_plan, select_targets
 from .model import (
@@ -37,7 +33,6 @@ from .model import (
     dump_line,
     list_field,
     numbered_lines,
-    read_jsonl,
     record_to_json,
     typed_field,
     typed_list,
@@ -65,7 +60,7 @@ from .pipeline import (
     segment_video,
     write_examples,
 )
-from .segmenting import ShapeConfig, frame_manifest, sequence_shape
+from .segmenting import frame_manifest, sequence_shape
 from .selfcheck import selfcheck
 from .tokenizers import load_tokenizer
 
@@ -163,7 +158,7 @@ def _cmd_filter(args) -> int:
 def _cmd_align(args) -> int:
     def handle(obj: Any) -> dict[str, Any]:
         noisy = list_field(check_line(obj), "noisy", word_from_json)
-        clean = [str(w) for w in obj["clean"]]
+        clean = typed_list(obj, "clean", str)
         alignment, timed = align_and_time(noisy, clean)
         return {
             "pairs": [[a, b] for a, b in alignment.pairs],
@@ -186,15 +181,9 @@ def _cmd_corrupt(args) -> int:
     tokenizer = load_tokenizer(cfg.tokenizer_path)
 
     def handle(obj: Any) -> dict[str, Any]:
-        doc_id = str(check_line(obj)["doc_id"])
-        doc_cfg = CorruptionConfig(
-            replace_prob=cfg.replace_prob,
-            homophone_share=cfg.homophone_share,
-            filler_prob=cfg.filler_prob,
-            rng_seed=derive_seed(cfg.seed, doc_id),
-        )
-        texts = [str(w) for w in obj["words"]]
-        words = corrupt_document(texts, doc_cfg, table, tokenizer)
+        doc_id = typed_field(check_line(obj), "doc_id", str)
+        texts = typed_list(obj, "words", str)
+        words = corrupt_document(texts, cfg, derive_seed(cfg.seed, doc_id), table, tokenizer)
         return {"doc_id": doc_id, "words": words}
 
     return _stream(args, handle)
@@ -235,13 +224,11 @@ def _cmd_mask(args) -> int:
     cfg = _config_from_args(args)
 
     def handle(obj: Any) -> dict[str, Any]:
-        seq_id = str(check_line(obj)["sequence_id"])
-        tokens = [int(t) for t in obj["tokens"]]
+        seq_id = typed_field(check_line(obj), "sequence_id", str)
+        tokens = typed_list(obj, "tokens", int)
+        specials = typed_list(obj, "special_positions", int) if "special_positions" in obj else []
         profile = AttentionProfile(
-            weights=np.asarray(obj["weights"], dtype=np.float64),
-            special_positions=frozenset(
-                int(i) for i in obj.get("special_positions", [])
-            ),
+            weights=typed_list(obj, "weights", float), special_positions=frozenset(specials)
         )
         rng = np.random.default_rng(derive_seed(cfg.seed, seq_id))
         plan = select_targets(
@@ -328,29 +315,35 @@ def _cmd_score_order(args) -> int:
     return _stream(args, handle)
 
 
-def _read_objects(path: str) -> list[dict[str, Any]]:
-    """Every line of a JSONL file; a malformed one is fatal."""
-    with open(path, encoding="utf-8") as fp:
-        return [check_line(obj) for obj in read_jsonl(fp)]
+def _read_objects(path: str, decode: Callable[[dict[str, Any]], Any]) -> list:
+    """``decode`` of every line of a JSONL file; a malformed line is fatal,
+    and its error names the file and the line."""
+    out = []
+    with open(path, "rb") as fp:
+        for lineno, raw in numbered_lines(fp):
+            try:
+                out.append(decode(check_line(json.loads(raw))))
+            except DATA_ERRORS as e:
+                raise ValueError(f"{path} line {lineno}: {e}") from None
+    return out
+
+
+def _table_from_json(obj: dict[str, Any]) -> PairwiseRelationTable:
+    return PairwiseRelationTable.from_flat(
+        typed_field(obj, "n", int), typed_list(obj, "log_probs", float)
+    )
 
 
 def _cmd_eval_story(args) -> int:
-    tables = [
-        PairwiseRelationTable.from_flat(
-            typed_field(o, "n", int), typed_list(o, "log_probs", float)
-        )
-        for o in _read_objects(args.tables)
-    ]
-    truths = [typed_list(obj, "order", int) for obj in _read_objects(args.truths)]
+    tables = _read_objects(args.tables, _table_from_json)
+    truths = _read_objects(args.truths, lambda obj: typed_list(obj, "order", int))
     report = evaluate_story_set(tables, truths, footrule=args.footrule)
     print(dump_line({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report)}))
     return 0
 
 
 def _cmd_shape(args) -> int:
-    cfg = _config_from_args(args)
-    fields = ShapeConfig.__dataclass_fields__
-    shape = sequence_shape(ShapeConfig(**{f: getattr(cfg, f) for f in fields}))
+    shape = sequence_shape(_config_from_args(args))
     print(dump_line({"schema_version": SCHEMA_VERSION, **shape.to_json()}))
     return 0
 

@@ -28,42 +28,42 @@ class PipelineConfig:
     min_objects: int = 4
     sim_threshold: float = 0.9
     distinct_classes: bool = False
-    perplexity_threshold: float = 200.0
     # corruption
-    replace_prob: float = 0.01
-    homophone_share: float = 0.25
-    filler_prob: float = 0.01
+    replace_prob: float = 0.01  # chance a word is replaced outright
+    homophone_share: float = 0.25  # share of replacements trying a homophone
+    filler_prob: float = 0.01  # chance a filler is inserted before a word
     # masking
     mask_rate: float = 0.20
     attended_share: float = 0.50
     span_mean: float = 0.5
     top_frac: float = 0.20
-    # objectives
-    tau: float = 0.05
-    contrastive_coeff: float = 0.25
     # shape
-    image_width: int = 192
+    image_width: int = 192  # pixels
     image_height: int = 352
-    patch: int = 16
-    pool: int = 2
-    group_segments: int = 4
+    patch: int = 16  # pixels per patch edge
+    pool: int = 2  # pooling factor after the patch grid
+    group_segments: int = 4  # segments shown jointly to the fused encoder
     # run control (worker count is a run_pipeline argument, not config,
     # so manifests stay byte-identical across --jobs values)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tokens_per_segment < 1:
-            raise ValueError("tokens_per_segment must be at least 1")
-        if self.segments_per_example < 1:
-            raise ValueError("segments_per_example must be at least 1")
+        for name in (
+            "tokens_per_segment",
+            "segments_per_example",
+            "image_width",
+            "image_height",
+            "patch",
+            "pool",
+            "group_segments",
+        ):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.max_duration_s <= 0:
             raise ValueError("max_duration_s must be positive")
         if self.min_objects < 0:
             raise ValueError("min_objects must be non-negative")
-        if self.perplexity_threshold <= 0:
-            raise ValueError("perplexity_threshold must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
         if self.span_mean < 0:
             raise ValueError("span_mean must be non-negative")
         for name in (

@@ -11,8 +11,8 @@ surviving words drawing, per word and in this fixed order:
    before the current word.
 
 The two coins are independent, so both may fire on one word.  All draws come
-from one ``numpy`` generator seeded with ``cfg.rng_seed``, which makes output
-bit-identical across runs and platforms.
+from one ``numpy`` generator seeded with the per-document ``seed``, which makes
+output bit-identical across runs and platforms.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import PipelineConfig
 from .tokenizers import Tokenizer
 
 
@@ -43,22 +44,7 @@ def normalize_words(words: Iterable[str]) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class CorruptionConfig:
-    replace_prob: float = 0.01  # chance a word is replaced outright
-    homophone_share: float = 0.25  # share of replacements trying a homophone
-    filler_prob: float = 0.01  # chance a filler is inserted before a word
-    filler_lexicon: tuple[str, ...] = ("umm", "hmm", "yeah")
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "filler_lexicon", tuple(self.filler_lexicon))
-        for name in ("replace_prob", "homophone_share", "filler_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {p}")
-        if not self.filler_lexicon:
-            raise ValueError("filler_lexicon must not be empty")
+FILLER_LEXICON = ("umm", "hmm", "yeah")
 
 
 class PronunciationTable:
@@ -149,13 +135,16 @@ def _random_word(
 
 def corrupt_document(
     clean: Sequence[str],
-    cfg: CorruptionConfig,
+    cfg: PipelineConfig,
+    seed: int = 0,
     table: PronunciationTable | None = None,
     tokenizer: Tokenizer | None = None,
     counters: CorruptionCounters | None = None,
 ) -> list[str]:
     """Return the normalized, randomly corrupted copy of ``clean``.
 
+    Of ``cfg`` only ``replace_prob``, ``homophone_share`` and ``filler_prob``
+    are read, and ``seed`` seeds every random draw for this document.
     ``tokenizer`` is required whenever ``replace_prob`` > 0 because the random
     replacement route samples token sequences of the original word's encoded
     length.  Pass ``counters`` to collect how often each corruption fired.
@@ -167,7 +156,7 @@ def corrupt_document(
         return words
     if cfg.replace_prob > 0.0 and tokenizer is None:
         raise ValueError("a tokenizer is required when replace_prob > 0")
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     allowed = None
     if tokenizer is not None:
         allowed = np.array(
@@ -198,7 +187,7 @@ def corrupt_document(
                 if counters is not None:
                     counters.random_replacements += 1
         if cfg.filler_prob > 0.0 and rng.random() < cfg.filler_prob:
-            out.append(cfg.filler_lexicon[int(rng.integers(0, len(cfg.filler_lexicon)))])
+            out.append(FILLER_LEXICON[int(rng.integers(0, len(FILLER_LEXICON)))])
             if counters is not None:
                 counters.fillers += 1
         out.append(emitted)

@@ -291,22 +291,31 @@ def _seconds_field(obj: dict[str, Any], key: str) -> float:
     raise ValueError(f"{key} must be a finite number >= 0, got {value!r:.40}")
 
 
-def _list_member(obj: dict[str, Any], key: str) -> list:
-    items = _member(obj, key)
+def _list(items: Any, where: str) -> list:
     if type(items) is not list:
-        raise ValueError(f"{key} must be a list, got {items!r:.40}")
+        raise ValueError(f"{where} must be a list, got {items!r:.40}")
     return items
+
+
+def _typed_items(items: Any, kind: type, where: str) -> list:
+    return [_typed(item, kind, f"{where}[{k}]") for k, item in enumerate(_list(items, where))]
 
 
 def typed_list(obj: dict[str, Any], key: str, kind: type) -> list:
     """A list of JSON values, each checked by ``_typed``."""
-    return [_typed(item, kind, f"{key}[{k}]") for k, item in enumerate(_list_member(obj, key))]
+    return _typed_items(_member(obj, key), kind, key)
+
+
+def typed_rows(obj: dict[str, Any], key: str, kind: type) -> list[list]:
+    """A list of lists of JSON values, each checked by ``_typed``."""
+    rows = _list(_member(obj, key), key)
+    return [_typed_items(row, kind, f"{key}[{r}]") for r, row in enumerate(rows)]
 
 
 def list_field(obj: dict[str, Any], key: str, decode: Callable) -> list:
     """Decode a list of objects; errors are prefixed with ``key[index]``."""
     out = []
-    for k, item in enumerate(_list_member(obj, key)):
+    for k, item in enumerate(_list(_member(obj, key), key)):
         if type(item) is not dict:
             raise ValueError(f"{key}[{k}] must be an object, got {item!r:.40}")
         try:

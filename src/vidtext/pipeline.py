@@ -43,6 +43,7 @@ from .model import (
     metadata_from_json,
     numbered_lines,
     record_from_json,
+    typed_rows,
     validate_record,
     word_from_json,
 )
@@ -133,13 +134,17 @@ def apply_gates(
 ) -> FilterDecision:
     """The metadata gate, then the thumbnail gate if metadata passes.
 
-    Thumbnails are optional and decoded only when the thumbnail gate runs.
+    Thumbnails are optional and decoded only when the thumbnail gate runs,
+    as lists of rows of finite JSON numbers.
     """
     decision = metadata_gate(meta, max_duration_s=cfg.max_duration_s)
     if decision.accepted and "thumbnails" in obj:
         thumbs = obj["thumbnails"]
         decision = thumbnail_gate(
-            ThumbnailEvidence(thumbs["object_probs"], thumbs["features"]),
+            ThumbnailEvidence(
+                typed_rows(thumbs, "object_probs", float),
+                typed_rows(thumbs, "features", float),
+            ),
             prob_threshold=cfg.prob_threshold,
             min_objects=cfg.min_objects,
             sim_threshold=cfg.sim_threshold,

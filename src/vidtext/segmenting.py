@@ -14,36 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
+from .config import PipelineConfig
 from .model import PackedExample, Segment, TimedToken, VideoRecord
 
 
 class OversizeWordError(ValueError):
     """A single word expanded to more tokens than fit in one segment."""
-
-
-@dataclass(frozen=True)
-class ShapeConfig:
-    image_width: int = 192  # pixels
-    image_height: int = 352
-    patch: int = 16  # pixels per patch edge
-    pool: int = 2  # pooling factor after the patch grid
-    group_segments: int = 4  # segments shown jointly to the fused encoder
-    tokens_per_segment: int = 32
-    segments_per_example: int = 16
-
-    def __post_init__(self) -> None:
-        for name in (
-            "image_width",
-            "image_height",
-            "patch",
-            "pool",
-            "group_segments",
-            "tokens_per_segment",
-            "segments_per_example",
-        ):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +38,8 @@ class SequenceShape:
         }
 
 
-def sequence_shape(cfg: ShapeConfig = ShapeConfig()) -> SequenceShape:
-    """Derive the encoder sequence lengths implied by a shape config."""
+def sequence_shape(cfg: PipelineConfig = PipelineConfig()) -> SequenceShape:
+    """Derive the encoder sequence lengths implied by a config's shape fields."""
     cell = cfg.patch * cfg.pool
     if cfg.image_width % cell or cfg.image_height % cell:
         raise ValueError(

@@ -16,9 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from .align import dtw_align, levenshtein
+from .config import PipelineConfig
 from .losses import contrastive_loss, l2_normalize
 from .ordering import hungarian_match
-from .segmenting import ShapeConfig, sequence_shape
+from .segmenting import sequence_shape
 
 _EXPECTED_DEFAULT_SHAPE = (66, 67, 396, 512)
 
@@ -33,8 +34,7 @@ class CheckResult:
 def _check_shape(patch: int) -> CheckResult:
     name = "shape-arithmetic"
     try:
-        cfg = ShapeConfig(patch=patch)
-        shape = sequence_shape(cfg)
+        shape = sequence_shape(PipelineConfig(patch=patch))
     except ValueError as e:
         return CheckResult(name, False, str(e))
     got = (

@@ -14,7 +14,6 @@ from oracles import exhaustive_alignment_cost, finite_difference
 from vidtext.align import dtw_align
 from vidtext.config import PipelineConfig
 from vidtext.corruption import (
-    CorruptionConfig,
     CorruptionCounters,
     PronunciationTable,
     corrupt_document,
@@ -31,7 +30,7 @@ from vidtext.ordering import (
     hungarian_match,
 )
 from vidtext.pipeline import run_pipeline
-from vidtext.segmenting import PackStats, ShapeConfig, pack_examples, sequence_shape
+from vidtext.segmenting import PackStats, pack_examples, sequence_shape
 from vidtext.selfcheck import selfcheck
 from vidtext.tokenizers import ByteTokenizer
 
@@ -45,7 +44,7 @@ def record(name: str, passed: bool, detail: str) -> str:
 
 def test_criterion_01_shape_arithmetic():
     t0 = time.perf_counter()
-    shape = sequence_shape(ShapeConfig())
+    shape = sequence_shape(PipelineConfig())
     elapsed = time.perf_counter() - t0
     got = (
         shape.cells_per_frame,
@@ -263,7 +262,8 @@ def test_criterion_07_corruption_statistics():
     counters = CorruptionCounters()
     corrupt_document(
         words,
-        CorruptionConfig(rng_seed=4),  # defaults: replace 0.01, filler 0.01
+        PipelineConfig(),  # defaults: replace 0.01, filler 0.01
+        4,
         table,
         ByteTokenizer(),
         counters=counters,
@@ -272,9 +272,7 @@ def test_criterion_07_corruption_statistics():
     filler_rate = counters.fillers / counters.words_in
 
     messy = ["Hello,", "WORLD!", "don't", "...", "Stop."]
-    reduced = corrupt_document(
-        messy, CorruptionConfig(replace_prob=0.0, filler_prob=0.0)
-    )
+    reduced = corrupt_document(messy, PipelineConfig(replace_prob=0.0, filler_prob=0.0))
     exact = reduced == normalize_words(messy)
     elapsed = time.perf_counter() - t0
     ok = (

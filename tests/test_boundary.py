@@ -31,6 +31,7 @@ DEFECTS = (
     "bool_word_time",
     "end_before_start",
     "nan_prob",
+    "string_prob",
     "old_schema",
     "missing_key",
     "not_object",
@@ -81,10 +82,11 @@ def video_lines(draw):
             "end_before_start": {"text": "a", "start_s": 2.0, "end_s": 1.0},
         }[defect]
         words.insert(draw(st.integers(0, len(words))), bad)
-    elif defect == "nan_prob":  # with metadata that passes, so thumbnails are read
+    elif defect in ("nan_prob", "string_prob"):  # metadata passes: thumbnails are read
         rec.update(duration_s=12.5, category="Howto", has_english_asr=True)
+        bad = float("nan") if defect == "nan_prob" else draw(st.sampled_from(["0.9", True]))
         rec["thumbnails"] = {
-            "object_probs": [[float("nan"), 0.9, 0.9]] * 4,
+            "object_probs": [[bad, 0.9, 0.9]] * 4,
             "features": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
         }
     elif defect == "old_schema":

@@ -39,6 +39,18 @@ def test_shape_fatal_on_bad_geometry(capsys):
     code, _, err = run_cli(capsys, ["shape", "--patch", "17"])
     assert code == 2
     assert "divi" in err
+    code, out, err = run_cli(capsys, ["shape", "--patch", "0"])
+    assert code == 2 and out == ""
+    assert "error: patch must be a positive integer, got 0" in err
+
+
+@pytest.mark.parametrize("key", ["tau", "contrastive_coeff", "perplexity_threshold"])
+def test_config_file_with_a_deleted_key_is_fatal(capsys, tmp_path, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: 0.05}), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["shape", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert "unknown config keys" in err and repr(key) in err
 
 
 def test_align_stream(capsys, monkeypatch):
@@ -77,6 +89,13 @@ def test_align_bad_line_gives_exit_one(capsys, monkeypatch):
     assert code == 1
     assert "line 1: skipped" in err and "noisy[0]: start_s" in err
     assert len(out.splitlines()) == 1
+    # Clean words are JSON strings, not coerced numbers or booleans.
+    for clean, message in (([1], "clean[0] must be a string"), ("a", "clean must be a list")):
+        bad = json.dumps({"noisy": [{"text": "a", "start_s": 0, "end_s": 1}], "clean": clean})
+        code, out, err = run_cli(capsys, ["align"], bad + "\n" + good + "\n", monkeypatch)
+        assert code == 1
+        assert "line 1: skipped" in err and message in err, err
+        assert len(out.splitlines()) == 1
 
 
 def test_corrupt_deterministic_per_doc_id(capsys, monkeypatch):
@@ -362,7 +381,15 @@ def test_strict_boundary_types_are_data_errors(capsys, monkeypatch, command):
         ),
     ]
     if command != "segment":  # segment runs no gates, so it never reads thumbnails
-        lines.append((json.dumps(video_obj(thumbnails=nan_probs)), "probabilities"))
+        loose = {"object_probs": [["0.9", True, 0.9]] * 4, "features": [[1.0, 0.0]] * 4}
+        loose_feats = {"object_probs": [[0.9] * 3] * 4, "features": [[1.0, "0"]] * 4}
+        lines += [
+            (json.dumps(video_obj(thumbnails=nan_probs)), "object_probs[0][0] must be a finite"),
+            (json.dumps(video_obj(thumbnails=loose)), "object_probs[0][0] must be a finite"),
+            (json.dumps(video_obj(thumbnails=loose_feats)), "features[0][1] must be a finite"),
+            (json.dumps(video_obj(thumbnails=dict(loose_feats, features=[1.0] * 4))),
+             "features[0] must be a list"),
+        ]
     for line, where in lines:
         code, _, err = run_cli(capsys, [command], line + "\n", monkeypatch)
         assert code == 1, line
@@ -408,7 +435,7 @@ def test_eval_story_malformed_line_is_fatal(capsys, tmp_path):
     good_table = json.dumps({"n": 1, "log_probs": flat})
     good_truth = json.dumps({"order": [0]})
     cases = [
-        ("[1,2]", good_truth, "JSON object"),
+        ("[1,2]", good_truth, "line must hold a JSON object"),
         (json.dumps({"n": "1", "log_probs": flat}), good_truth, "n must be an integer"),
         (json.dumps({"n": True, "log_probs": flat}), good_truth, "n must be an integer"),
         (
@@ -426,13 +453,15 @@ def test_eval_story_malformed_line_is_fatal(capsys, tmp_path):
         (good_table, json.dumps({"order": 0}), "order must be a list"),
     ]
     for table_line, truth_line, message in cases:
-        tables.write_text(table_line + "\n")
-        truths.write_text(truth_line + "\n")
+        # The bad line follows a good line and a blank one, so it is line 3.
+        tables.write_text(good_table + "\n\n" + table_line + "\n")
+        truths.write_text(good_truth + "\n\n" + truth_line + "\n")
+        bad_file = tables if table_line != good_table else truths
         code, out, err = run_cli(
             capsys, ["eval-story", "--tables", str(tables), "--truths", str(truths)]
         )
         assert code == 2, table_line + truth_line
-        assert "error:" in err and message in err, err
+        assert err.startswith(f"error: {bad_file} line 3: {message}"), err
         assert out == ""
 
 
@@ -457,6 +486,41 @@ def test_score_order_malformed_lines_are_data_errors(capsys, monkeypatch):
         assert "line 2: skipped" in err and message in err, err
         assert "Traceback" not in err
         assert [json.loads(line)["permutation"] for line in out.splitlines()] == [[0, 1]]
+
+
+MASK_ARGV = ["mask", "--vocab-size", "100", "--mask-id", "99"]
+MASK_GOOD = {"sequence_id": "s", "tokens": [10, 11, 12], "weights": [1.0, 2, 0.5]}
+CORRUPT_GOOD = {"doc_id": "d", "words": ["Hello", "world"]}
+
+
+@pytest.mark.parametrize(
+    "argv, good, bad, message",
+    [
+        (MASK_ARGV, MASK_GOOD, {"sequence_id": 7}, "sequence_id must be a string"),
+        (MASK_ARGV, MASK_GOOD, {"tokens": [10, "11", 12]}, "tokens[1] must be an integer"),
+        (MASK_ARGV, MASK_GOOD, {"tokens": [10, 11.0, 12]}, "tokens[1] must be an integer"),
+        (MASK_ARGV, MASK_GOOD, {"tokens": [10, True, 12]}, "tokens[1] must be an integer"),
+        (MASK_ARGV, MASK_GOOD, {"weights": [1.0, "2", 0.5]}, "weights[1] must be a finite number"),
+        (MASK_ARGV, MASK_GOOD, {"weights": [1.0, False, 0.5]}, "weights[1] must be a finite number"),
+        (MASK_ARGV, MASK_GOOD, {"weights": [1.0, math.inf, 0.5]}, "weights[1] must be a finite number"),
+        (MASK_ARGV, MASK_GOOD, {"weights": [[1.0, 2, 0.5]]}, "weights[0] must be a finite number"),
+        (MASK_ARGV, MASK_GOOD, {"special_positions": ["0"]}, "special_positions[0] must be an integer"),
+        (MASK_ARGV, MASK_GOOD, {"special_positions": [0.0]}, "special_positions[0] must be an integer"),
+        (["corrupt"], CORRUPT_GOOD, {"doc_id": 3}, "doc_id must be a string"),
+        (["corrupt"], CORRUPT_GOOD, {"doc_id": None}, "doc_id must be a string"),
+        (["corrupt"], CORRUPT_GOOD, {"words": ["Hello", 5]}, "words[1] must be a string"),
+        (["corrupt"], CORRUPT_GOOD, {"words": "Hello world"}, "words must be a list"),
+    ],
+)
+def test_mask_and_corrupt_malformed_lines_are_data_errors(
+    capsys, monkeypatch, argv, good, bad, message
+):
+    text = json.dumps(good) + "\n" + json.dumps(dict(good, **bad)) + "\n"
+    code, out, err = run_cli(capsys, argv, text, monkeypatch)
+    assert code == 1
+    assert "line 2: skipped" in err and message in err, err
+    assert "Traceback" not in err
+    assert len(out.splitlines()) == 1
 
 
 def test_segment_frame_manifest(capsys, monkeypatch, tmp_path):

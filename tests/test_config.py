@@ -13,7 +13,6 @@ def test_defaults_are_canonical():
     assert cfg.prob_threshold == 0.30
     assert cfg.min_objects == 4
     assert cfg.sim_threshold == 0.9
-    assert cfg.perplexity_threshold == 200.0
     assert cfg.replace_prob == 0.01
     assert cfg.homophone_share == 0.25
     assert cfg.filler_prob == 0.01
@@ -21,8 +20,6 @@ def test_defaults_are_canonical():
     assert cfg.attended_share == 0.50
     assert cfg.span_mean == 0.5
     assert cfg.top_frac == 0.20
-    assert cfg.tau == 0.05
-    assert cfg.contrastive_coeff == 0.25
     assert cfg.image_width == 192
     assert cfg.image_height == 352
     assert cfg.patch == 16
@@ -72,8 +69,10 @@ def test_validation_rejects_out_of_range():
         PipelineConfig(mask_rate=1.5)
     with pytest.raises(ValueError):
         PipelineConfig(tokens_per_segment=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(tau=0.0)
+    with pytest.raises(ValueError, match="patch must be a positive integer"):
+        PipelineConfig(patch=0)
+    with pytest.raises(ValueError, match="pool must be a positive integer"):
+        PipelineConfig(pool=2.0)
 
 
 def test_sha256_stable_and_sensitive():

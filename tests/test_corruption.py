@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vidtext.config import PipelineConfig
 from vidtext.corruption import (
-    CorruptionConfig,
+    FILLER_LEXICON,
     CorruptionCounters,
     PronunciationTable,
     corrupt_document,
@@ -39,17 +40,17 @@ def test_normalize_idempotent(words):
 
 def test_zero_probability_config_is_pure_normalization():
     words = ["First,", "SECOND", "third!"]
-    cfg = CorruptionConfig(replace_prob=0.0, filler_prob=0.0)
+    cfg = PipelineConfig(replace_prob=0.0, filler_prob=0.0)
     assert corrupt_document(words, cfg) == normalize_words(words)
 
 
 def test_same_seed_same_output():
-    cfg = CorruptionConfig(replace_prob=0.3, filler_prob=0.2, rng_seed=42)
+    cfg = PipelineConfig(replace_prob=0.3, filler_prob=0.2)
     words = ["one", "two", "three", "four", "five"] * 4
     tok = ByteTokenizer()
     table = PronunciationTable.empty()
-    assert corrupt_document(words, cfg, table, tok) == corrupt_document(
-        words, cfg, table, tok
+    assert corrupt_document(words, cfg, 42, table, tok) == corrupt_document(
+        words, cfg, 42, table, tok
     )
 
 
@@ -57,38 +58,31 @@ def test_different_seed_usually_differs():
     words = ["one", "two", "three", "four", "five"] * 10
     tok = ByteTokenizer()
     table = PronunciationTable.empty()
-    a = corrupt_document(
-        words, CorruptionConfig(replace_prob=0.5, rng_seed=1), table, tok
-    )
-    b = corrupt_document(
-        words, CorruptionConfig(replace_prob=0.5, rng_seed=2), table, tok
-    )
+    cfg = PipelineConfig(replace_prob=0.5)
+    a = corrupt_document(words, cfg, 1, table, tok)
+    b = corrupt_document(words, cfg, 2, table, tok)
     assert a != b
 
 
 def test_replacement_requires_tokenizer():
-    cfg = CorruptionConfig(replace_prob=0.5)
+    cfg = PipelineConfig(replace_prob=0.5)
     with pytest.raises(ValueError, match="tokenizer"):
-        corrupt_document(["word"], cfg, PronunciationTable.empty(), None)
+        corrupt_document(["word"], cfg, 0, PronunciationTable.empty(), None)
 
 
 def test_homophone_substitution_uses_table():
     table = PronunciationTable.from_groups([("there", "their")])
-    cfg = CorruptionConfig(
-        replace_prob=1.0, homophone_share=1.0, filler_prob=0.0, rng_seed=0
-    )
-    out = corrupt_document(["there"], cfg, table, ByteTokenizer())
+    cfg = PipelineConfig(replace_prob=1.0, homophone_share=1.0, filler_prob=0.0)
+    out = corrupt_document(["there"], cfg, 0, table, ByteTokenizer())
     assert out == ["their"]
 
 
 def test_homophone_miss_falls_through_to_random():
     # No table entry for the word: the replacement must still happen.
-    cfg = CorruptionConfig(
-        replace_prob=1.0, homophone_share=1.0, filler_prob=0.0, rng_seed=0
-    )
+    cfg = PipelineConfig(replace_prob=1.0, homophone_share=1.0, filler_prob=0.0)
     ctr = CorruptionCounters()
     out = corrupt_document(
-        ["zqx"], cfg, PronunciationTable.empty(), ByteTokenizer(), counters=ctr
+        ["zqx"], cfg, 0, PronunciationTable.empty(), ByteTokenizer(), counters=ctr
     )
     assert len(out) == 1 and out[0] != "zqx"
     assert ctr.replaced == 1
@@ -111,26 +105,23 @@ class LetterTokenizer:
 
 def test_random_replacement_preserves_token_count():
     tok = LetterTokenizer()
-    cfg = CorruptionConfig(
-        replace_prob=1.0, homophone_share=0.0, filler_prob=0.0, rng_seed=5
-    )
-    out = corrupt_document(["abcd"], cfg, PronunciationTable.empty(), tok)
+    cfg = PipelineConfig(replace_prob=1.0, homophone_share=0.0, filler_prob=0.0)
+    out = corrupt_document(["abcd"], cfg, 5, PronunciationTable.empty(), tok)
     assert len(tok.encode(out[0])) == len(tok.encode("abcd"))
 
 
 def test_fillers_come_from_lexicon_and_extend_length():
-    cfg = CorruptionConfig(
-        replace_prob=0.0, filler_prob=1.0, filler_lexicon=("umm",), rng_seed=0
-    )
+    cfg = PipelineConfig(replace_prob=0.0, filler_prob=1.0)
     out = corrupt_document(["a", "b"], cfg)
-    assert out == ["umm", "a", "umm", "b"]
+    assert len(out) == 4 and out[1::2] == ["a", "b"]
+    assert set(out[0::2]) <= set(FILLER_LEXICON)
 
 
 def test_counters_accumulate():
-    cfg = CorruptionConfig(replace_prob=1.0, homophone_share=0.0, filler_prob=1.0)
+    cfg = PipelineConfig(replace_prob=1.0, homophone_share=0.0, filler_prob=1.0)
     ctr = CorruptionCounters()
     corrupt_document(
-        ["x", "y", "z"], cfg, PronunciationTable.empty(), ByteTokenizer(), counters=ctr
+        ["x", "y", "z"], cfg, 0, PronunciationTable.empty(), ByteTokenizer(), counters=ctr
     )
     assert ctr.words_in == 3
     assert ctr.replaced == 3

@@ -87,17 +87,3 @@ def test_numba_and_python_bit_identical(noisy, clean):
     acc_nb, step_nb = _kernels.alignment_fill_nb(cost_nb)
     np.testing.assert_array_equal(acc_py, acc_nb)
     np.testing.assert_array_equal(step_py, step_nb)
-
-
-def test_env_flag_selects_python(monkeypatch):
-    import importlib
-    import vidtext._kernels as mod
-
-    monkeypatch.setenv("VIDTEXT_NO_NUMBA", "1")
-    reloaded = importlib.reload(mod)
-    try:
-        assert not reloaded.numba_active()
-        assert reloaded.levenshtein_codes is reloaded.levenshtein_codes_py
-    finally:
-        monkeypatch.delenv("VIDTEXT_NO_NUMBA")
-        importlib.reload(mod)

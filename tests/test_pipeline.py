@@ -70,7 +70,13 @@ def test_malformed_lines_become_errors():
         (video_line(words=[{"text": "a", "start_s": 0, "end_s": "1"}]), "words[0]: end_s"),
         (video_line(words=[{"text": 5, "start_s": 0, "end_s": 1}]), "words[0]: text"),
         (video_line(words={"text": "a"}), "words"),
-        (video_line(thumbnails=thumbs), "object probabilities"),
+        (video_line(thumbnails=thumbs), "object_probs[0][0] must be a finite number"),
+        (video_line(thumbnails=dict(thumbs, object_probs=[["0.9", True, 0.9]] * 4)),
+         "object_probs[0][0] must be a finite number"),
+        (video_line(thumbnails=dict(thumbs, object_probs=[[0.9, True, 0.9]] * 4)),
+         "object_probs[0][1] must be a finite number"),
+        (video_line(thumbnails=dict(thumbs, object_probs=[[1.5] * 3] * 4)),
+         "object probabilities"),
         (video_line(schema_version="9"), "schema_version"),
         ("[1, 2]", "JSON object"),
     ]:

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import greedy_word_packing
+from vidtext.config import PipelineConfig
 from vidtext.model import TimedToken, TimedWord, validate_example, validate_record, VideoRecord
 from vidtext.segmenting import (
     OversizeWordError,
     PackStats,
-    ShapeConfig,
     group_for_joint,
     pack_examples,
     segment_transcript,
@@ -175,7 +175,7 @@ def test_group_for_joint_requires_divisibility():
 
 
 def test_default_shape_frozen_values():
-    shape = sequence_shape(ShapeConfig())
+    shape = sequence_shape(PipelineConfig())
     assert shape.cells_per_frame == 66
     assert shape.visual_tokens_per_frame == 67
     assert shape.joint_sequence_length == 396
@@ -184,10 +184,10 @@ def test_default_shape_frozen_values():
 
 def test_shape_rejects_nondivisible_patching():
     with pytest.raises(ValueError, match="divi"):
-        sequence_shape(ShapeConfig(patch=17))
+        sequence_shape(PipelineConfig(patch=17))
 
 
 def test_shape_scales_with_frame_size():
-    shape = sequence_shape(ShapeConfig(image_width=704, image_height=384))
+    shape = sequence_shape(PipelineConfig(image_width=704, image_height=384))
     # Doubling both sides quadruples the cell count.
     assert shape.cells_per_frame == 264
