@@ -2,7 +2,8 @@
 
 Matrices travel as ``.npy`` (a shape header plus little-endian IEEE floats;
 only 32/64-bit float payloads are accepted) or, for small hand-written
-tests, as JSON of nested lists.  Ordering-head parameters bundle as ``.npz``
+tests, as JSON of nested lists of finite JSON numbers (integers for labels),
+checked as strictly as JSONL lines.  Ordering-head parameters bundle as ``.npz``
 with keys ``w1``, ``b1``, ``w2``, ``b2``; the activation name is
 configuration, not data.
 """
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import OrderHeadParams
+from .model import typed_list, typed_rows
 
 _FLOAT_KINDS = ("f",)
 _ALLOWED_SIZES = (4, 8)
@@ -28,14 +30,23 @@ def _check_float_array(arr: np.ndarray, where: str) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def _load_json(p: Path, kind: type) -> np.ndarray:
+    """The JSON list in ``p``, or for floats a list of rows, checked by ``model``'s rule."""
+    key = str(p)  # the path as the field name, so every error names the file
+    with open(p, encoding="utf-8") as fp:
+        doc = {key: json.load(fp)}
+    if kind is float and type(doc[key]) is list and doc[key] and type(doc[key][0]) is list:
+        return np.array(typed_rows(doc, key, float), dtype=np.float64)
+    return np.array(typed_list(doc, key, kind), dtype=np.float64 if kind is float else np.int64)
+
+
 def load_matrix(path: str | Path) -> np.ndarray:
     """Read a 1-D or 2-D float array from .npy or JSON (by extension)."""
     p = Path(path)
     if p.suffix == ".npy":
         arr = np.load(p, allow_pickle=False)
         return _check_float_array(arr, str(p))
-    with open(p, encoding="utf-8") as fp:
-        return np.asarray(json.load(fp), dtype=np.float64)
+    return _load_json(p, float)
 
 
 def save_matrix(path: str | Path, arr: np.ndarray) -> None:
@@ -53,8 +64,7 @@ def load_int_vector(path: str | Path) -> np.ndarray:
         if arr.dtype.kind not in ("i", "u"):
             raise ValueError(f"{p}: expected an integer payload, got {arr.dtype}")
         return arr.astype(np.int64)
-    with open(p, encoding="utf-8") as fp:
-        return np.asarray(json.load(fp), dtype=np.int64)
+    return _load_json(p, int)
 
 
 def load_order_head(path: str | Path, activation: str = "gelu") -> OrderHeadParams:

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .align import align_and_time
 from .arrayio import load_int_vector, load_matrix, load_order_head
-from .config import PipelineConfig, resolve_config
+from .config import FIELD_KINDS, SHAPE_FIELDS, PipelineConfig, resolve_config
 from .corruption import PronunciationTable, corrupt_document, derive_seed
 from .losses import combine_losses, contrastive_loss, masked_lm_loss, order_logits, ordering_loss
 from .masking import AttentionProfile, apply_plan, select_targets
@@ -94,9 +94,29 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="output JSONL path (default: stdout)")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+_FLAG_SPELLINGS = {"tokenizer_path": "--tokenizer", "mask_rate": "--rate"}
+_FLAG_HELP = {
+    "seed": "global random seed",
+    "tokenizer_path": "tokenizer directory (vocab.json + merges.txt)",
+    "distinct_classes": "count distinct object classes instead of (thumbnail, class) cells",
+}
+_GATES = ("max_duration_s", "prob_threshold", "min_objects", "sim_threshold", "distinct_classes")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """``--config``, then a flag for ``seed`` and each named config field, spelled
+    ``--<field-with-dashes>`` unless ``_FLAG_SPELLINGS`` says otherwise and parsed
+    to the field's type.  A bool field is a switch away from its default.  Flags
+    default to None, so only the flags given override the config file."""
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int, default=None, help="global random seed")
+    for name in ("seed", *names):
+        flag = _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
+        kind, default = FIELD_KINDS[name], getattr(PipelineConfig, name)
+        kw: dict[str, Any] = {"type": None if kind is str else kind}  # a string stays as given
+        if kind is bool:
+            flag = "--no-" + flag[2:] if default else flag
+            kw = {"action": "store_false" if default else "store_true"}
+        p.add_argument(flag, dest=name, default=None, help=_FLAG_HELP.get(name), **kw)
 
 
 def _open_streams(args, stack: ExitStack) -> tuple[IO, IO[str]]:
@@ -114,19 +134,6 @@ def _write_report(path: str | None, obj: dict[str, Any]) -> None:
     """``obj`` as one JSON line in the file at ``path``, or on stderr without one."""
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stderr) as fp:
         fp.write(dump_line(obj) + "\n")
-
-
-def _add_gate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-duration-s", type=float, default=None)
-    p.add_argument("--prob-threshold", type=float, default=None)
-    p.add_argument("--min-objects", type=int, default=None)
-    p.add_argument("--sim-threshold", type=float, default=None)
-    p.add_argument(
-        "--distinct-classes",
-        action="store_true",
-        default=None,
-        help="count distinct object classes instead of (thumbnail, class) cells",
-    )
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -406,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="apply retention gates to evidence records")
     _add_io_flags(p)
-    _add_config_flags(p)
-    _add_gate_flags(p)
+    _add_config_flags(p, *_GATES)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("align", help="align noisy timed words to clean words")
@@ -416,43 +422,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corrupt", help="synthesize noisy transcripts")
     _add_io_flags(p)
-    _add_config_flags(p)
-    p.add_argument("--replace-prob", type=float, default=None)
-    p.add_argument("--homophone-share", type=float, default=None)
-    p.add_argument("--filler-prob", type=float, default=None)
     p.add_argument("--pronounce-dict", help="CMU-format pronunciation dictionary")
-    p.add_argument(
-        "--tokenizer",
-        dest="tokenizer_path",
-        help="tokenizer directory (vocab.json + merges.txt)",
-    )
+    _add_config_flags(p, "replace_prob", "homophone_share", "filler_prob", "tokenizer_path")
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("segment", help="turn timed words into token segments")
     _add_io_flags(p)
-    _add_config_flags(p)
-    p.add_argument("--tokens-per-segment", type=int, default=None)
-    p.add_argument("--tokenizer", dest="tokenizer_path")
+    _add_config_flags(p, "tokens_per_segment", "tokenizer_path")
     p.add_argument("--frame-manifest", help="also write (video_id, frame_time_s) JSONL")
     p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("pack", help="pack segment streams into fixed-size examples")
     _add_io_flags(p)
-    _add_config_flags(p)
-    p.add_argument("--segments-per-example", type=int, default=None)
-    p.add_argument(
-        "--no-cross-video", dest="cross_video", action="store_false", default=None
-    )
+    _add_config_flags(p, "segments_per_example", "cross_video")
     p.add_argument("--stats", help="write packing stats JSON here instead of stderr")
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("mask", help="plan and apply span masking")
     _add_io_flags(p)
-    _add_config_flags(p)
-    p.add_argument("--rate", dest="mask_rate", type=float, default=None)
-    p.add_argument("--attended-share", type=float, default=None)
-    p.add_argument("--span-mean", type=float, default=None)
-    p.add_argument("--top-frac", type=float, default=None)
+    _add_config_flags(p, "mask_rate", "attended_share", "span_mean", "top_frac")
     p.add_argument("--vocab-size", type=int, required=True)
     p.add_argument("--mask-id", type=int, required=True)
     p.add_argument(
@@ -464,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mask)
 
     p = sub.add_parser("loss", help="compute a loss from array files")
+    p.set_defaults(func=_cmd_loss)
     loss_sub = p.add_subparsers(dest="loss_kind", required=True)
     q = loss_sub.add_parser("contrastive")
     q.add_argument("--frames", required=True)
@@ -471,23 +460,19 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--tau", type=float, default=0.05)
     q.add_argument("--row-only", action="store_true")
     q.add_argument("--grads-out", help="write analytic gradients to this .npz")
-    q.set_defaults(func=_cmd_loss)
     q = loss_sub.add_parser("mlm")
     q.add_argument("--logits", required=True)
     q.add_argument("--labels", required=True)
-    q.set_defaults(func=_cmd_loss)
     q = loss_sub.add_parser("order")
     q.add_argument("--pairs", required=True, help="rows of concatenated (h_i, h_j)")
     q.add_argument("--classes", required=True)
     q.add_argument("--params", required=True, help=".npz with w1, b1, w2, b2")
     q.add_argument("--activation", default="gelu")
-    q.set_defaults(func=_cmd_loss)
     q = loss_sub.add_parser("combine")
     q.add_argument("--mlm", type=float, required=True)
     q.add_argument("--contrastive", type=float, required=True)
     q.add_argument("--ordering", type=float, required=True)
     q.add_argument("--coeff", type=float, default=0.25)
-    q.set_defaults(func=_cmd_loss)
 
     p = sub.add_parser("score-order", help="best permutation per relation table")
     _add_io_flags(p)
@@ -500,14 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval_story)
 
     p = sub.add_parser("shape", help="print derived sequence shapes")
-    _add_config_flags(p)
-    p.add_argument("--image-width", type=int, default=None)
-    p.add_argument("--image-height", type=int, default=None)
-    p.add_argument("--patch", type=int, default=None)
-    p.add_argument("--pool", type=int, default=None)
-    p.add_argument("--group-segments", type=int, default=None)
-    p.add_argument("--tokens-per-segment", type=int, default=None)
-    p.add_argument("--segments-per-example", type=int, default=None)
+    _add_config_flags(p, *SHAPE_FIELDS)
     p.set_defaults(func=_cmd_shape)
 
     p = sub.add_parser("selfcheck", help="run the embedded release checks")
@@ -517,16 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline: filter, segment, pack")
     _add_io_flags(p)
-    _add_config_flags(p)
     p.add_argument("--manifest", help="write the run manifest JSON here")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--tokenizer", dest="tokenizer_path")
-    p.add_argument("--tokens-per-segment", type=int, default=None)
-    p.add_argument("--segments-per-example", type=int, default=None)
-    p.add_argument(
-        "--no-cross-video", dest="cross_video", action="store_false", default=None
-    )
-    _add_gate_flags(p)
+    segmenting = ("tokenizer_path", "tokens_per_segment", "segments_per_example", "cross_video")
+    _add_config_flags(p, *segmenting, *_GATES)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(

@@ -14,6 +14,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from .model import typed_field
+
+
+# The fields that fix the encoder's sequence shape, each a positive integer.
+SHAPE_FIELDS = (
+    "image_width", "image_height", "patch", "pool", "group_segments",
+    "tokens_per_segment", "segments_per_example",
+)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -48,17 +57,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "tokens_per_segment",
-            "segments_per_example",
-            "image_width",
-            "image_height",
-            "patch",
-            "pool",
-            "group_segments",
-        ):
+        # Checked, not converted: a file's 600 stays 600 in the manifest.
+        for name, kind in FIELD_KINDS.items():
+            if getattr(self, name) is not None or getattr(PipelineConfig, name) is not None:
+                typed_field(vars(self), name, kind)
+        for name in SHAPE_FIELDS:
             v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if v <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.max_duration_s <= 0:
             raise ValueError("max_duration_s must be positive")
@@ -90,7 +95,9 @@ class PipelineConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(PipelineConfig)}
+# Each field's JSON type, from its annotation; a field defaulting to None may be null.
+_JSON_TYPES = {"int": int, "float": float, "bool": bool, "str | None": str}
+FIELD_KINDS = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(PipelineConfig)}
 
 
 def load_config_file(path: str | Path) -> dict[str, Any]:
@@ -99,7 +106,7 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
         data = json.load(fp)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
-    unknown = sorted(set(data) - _FIELD_NAMES)
+    unknown = sorted(set(data) - FIELD_KINDS.keys())
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
     return data
@@ -116,7 +123,7 @@ def resolve_config(
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _FIELD_NAMES:
+        if key not in FIELD_KINDS:
             raise ValueError(f"unknown config override {key!r}")
         merged[key] = value
     return PipelineConfig(**merged)

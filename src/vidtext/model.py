@@ -405,10 +405,17 @@ def example_to_json(example: PackedExample) -> dict[str, Any]:
     }
 
 
+def _provenance_item(item: Any, where: str) -> tuple[str, int]:
+    if type(item) is not list or len(item) != 2:
+        raise ValueError(f"{where} must be a [video_id, index] pair, got {item!r:.40}")
+    return _typed(item[0], str, f"{where}[0]"), _typed(item[1], int, f"{where}[1]")
+
+
 def example_from_json(obj: dict[str, Any]) -> PackedExample:
+    items = _list(_member(obj, "provenance"), "provenance")
     return PackedExample(
         segments=list_field(obj, "segments", segment_from_json),
-        provenance=tuple((str(v), int(i)) for v, i in obj["provenance"]),
+        provenance=tuple(_provenance_item(p, f"provenance[{k}]") for k, p in enumerate(items)),
     )
 
 

@@ -108,7 +108,7 @@ def check_line(obj: Any) -> dict[str, Any]:
     if not isinstance(obj, dict):
         raise ValueError("line must hold a JSON object")
     version = obj.get("schema_version", SCHEMA_VERSION)
-    if str(version) != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION:  # the string "1": the integer 1 is another version
         raise ValueError(f"unsupported schema_version {version!r}")
     return obj
 
@@ -126,7 +126,11 @@ def decode_record(obj: Any) -> VideoRecord:
     The token cap per segment is chosen when ``segment`` runs, so any
     segment length passes here; every other invariant is checked.
     """
-    return _checked(record_from_json(check_line(obj)), sys.maxsize)
+    record = record_from_json(check_line(obj))
+    violations = validate_record(record, l_max=sys.maxsize)
+    if violations:
+        raise ValueError(f"invalid record: {'; '.join(str(v) for v in violations[:3])}")
+    return record
 
 
 def apply_gates(
@@ -156,18 +160,11 @@ def apply_gates(
 def segment_video(
     meta: VideoRecord, words: list[TimedWord], cfg: PipelineConfig, tokenizer
 ) -> VideoRecord:
-    """Tokenize and segment one transcript into a validated record."""
+    """Tokenize and segment one transcript into a record that keeps every
+    ``validate_record`` invariant by construction, so it is not validated."""
     tokens = tokenize_words(words, tokenizer)
     segments = segment_transcript(tokens, l_max=cfg.tokens_per_segment)
-    record = dataclasses.replace(meta, segments=segments)
-    return _checked(record, cfg.tokens_per_segment)
-
-
-def _checked(record: VideoRecord, l_max: int) -> VideoRecord:
-    violations = validate_record(record, l_max=l_max)
-    if violations:
-        raise ValueError(f"invalid record: {'; '.join(str(v) for v in violations[:3])}")
-    return record
+    return dataclasses.replace(meta, segments=segments)
 
 
 def line_outcome(handle: Callable[..., Outcome], raw: str | bytes, *args) -> Outcome:

@@ -59,7 +59,8 @@ def sequence_shape(cfg: PipelineConfig = PipelineConfig()) -> SequenceShape:
 def segment_transcript(
     tokens: Sequence[TimedToken], l_max: int = 32, variant: str = "clean"
 ) -> list[Segment]:
-    """Split a timed token stream into segments of at most ``l_max`` tokens."""
+    """Split a timed token stream into segments of at most ``l_max`` tokens;
+    a word that starts before the previous word ends is a ``ValueError``."""
     if l_max < 1:
         raise ValueError(f"l_max must be at least 1, got {l_max}")
     # Group the stream by word so boundaries never split a word.
@@ -67,6 +68,11 @@ def segment_transcript(
     for tok in tokens:
         if words and words[-1][0].word_index == tok.word_index:
             words[-1].append(tok)
+        elif words and tok.start_s < words[-1][-1].end_s:
+            raise ValueError(
+                f"word {tok.word_index} starts at {tok.start_s} before the previous "
+                f"word ends at {words[-1][-1].end_s}"
+            )
         else:
             words.append([tok])
     segments: list[Segment] = []

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,40 @@ def test_int_vector_json_and_npy(tmp_path):
     npath = tmp_path / "v.npy"
     np.save(npath, np.array([5, 6], dtype=np.int64))
     assert load_int_vector(str(npath)).tolist() == [5, 6]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[1.7, 1, 3]', "[0] must be an integer, got 1.7"),
+        ('[1, true, 3]', "[1] must be an integer, got True"),
+        ('[1, 2, "3"]', "[2] must be an integer, got '3'"),
+        ('[[1, 2]]', "[0] must be an integer, got [1, 2]"),
+    ],
+)
+def test_int_vector_json_is_strict(tmp_path, text, message):
+    path = tmp_path / "labels.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+        load_int_vector(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[["0.5", 1.0]]', "[0][0] must be a finite number, got '0.5'"),
+        ('[[0.5, true]]', "[0][1] must be a finite number, got True"),
+        ('[[0.5, NaN]]', "[0][1] must be a finite number, got nan"),
+        ('[0.5, Infinity]', "[1] must be a finite number, got inf"),
+        ('[[0.5, 1.0], 2.0]', "[1] must be a list, got 2.0"),
+        ('{"a": 1}', " must be a list"),
+    ],
+)
+def test_matrix_json_is_strict(tmp_path, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+        load_matrix(str(path))
 
 
 def test_order_head_npz_round_trip(tmp_path):

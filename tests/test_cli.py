@@ -53,6 +53,45 @@ def test_config_file_with_a_deleted_key_is_fatal(capsys, tmp_path, key):
     assert "unknown config keys" in err and repr(key) in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"cross_video": "false"}', "cross_video"),
+        ('{"distinct_classes": 1}', "distinct_classes"),
+        ('{"max_duration_s": NaN}', "max_duration_s"),
+        ('{"tokens_per_segment": true}', "tokens_per_segment"),
+        ('{"prob_threshold": true}', "prob_threshold"),
+        ('{"min_objects": 2.5}', "min_objects"),
+        ('{"seed": null}', "seed"),
+        ('{"tokenizer_path": 5}', "tokenizer_path"),
+    ],
+)
+def test_config_file_value_of_the_wrong_type_is_fatal(capsys, tmp_path, data_dir, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    argv = ["run", "--config", str(path), "--input", str(data_dir / "golden_input.jsonl")]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"error: {key} must be" in err
+
+
+def test_config_values_are_checked_not_converted(capsys, tmp_path, data_dir):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"max_duration_s": 600}', encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    argv = ["run", "--config", str(path), "--input", str(data_dir / "golden_input.jsonl")]
+    code, _, _ = run_cli(capsys, argv + ["--manifest", str(manifest)])
+    assert code == 0
+    assert '"max_duration_s":600,' in manifest.read_text()
+
+
+def test_config_flags_are_checked_as_config_values(capsys, data_dir):
+    argv = ["run", "--max-duration-s", "nan", "--input", str(data_dir / "golden_input.jsonl")]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert "error: max_duration_s must be a finite number, got nan" in err
+
+
 def test_align_stream(capsys, monkeypatch):
     line = json.dumps(
         {
@@ -192,6 +231,16 @@ def test_score_order_two_way_table(capsys, monkeypatch):
     assert tuple(json.loads(out)["permutation"]) == truth
 
 
+def test_loss_json_arrays_are_strict(capsys, tmp_path):
+    logits, labels = tmp_path / "logits.json", tmp_path / "labels.json"
+    logits.write_text("[[0.5, 0.1], [0.2, 0.3], [0.1, 0.9]]")
+    labels.write_text('[1.7, true, "3"]')
+    argv = ["loss", "mlm", "--logits", str(logits), "--labels", str(labels)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"error: {labels}[0] must be an integer, got 1.7" in err
+
+
 def test_loss_combine(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -314,6 +363,13 @@ def test_unknown_schema_version_is_data_error(capsys, monkeypatch):
         code, out, err = run_cli(capsys, argv, video + "\n", monkeypatch)
         assert code == 1, argv
         assert "unsupported schema_version '9'" in err
+        assert out == ""
+    # The version is the string "1": the integer 1 is no spelling of it.
+    integer = video.replace('"9"', "1")
+    for argv in (["filter"], ["segment"], ["pack"], ["run"]):
+        code, out, err = run_cli(capsys, argv, integer + "\n", monkeypatch)
+        assert code == 1, argv
+        assert "unsupported schema_version 1" in err
         assert out == ""
 
 
@@ -577,6 +633,18 @@ def test_undecodable_and_deeply_nested_lines_are_data_errors(
     assert len(rows) == len(good) + 1 and rows[3]["video_id"] == "a\U0001F600"
     code, out, err = run_cli(capsys, ["filter"], lone.decode() + "\n", monkeypatch)
     assert code == 1 and "line 1: skipped (UnicodeEncodeError" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["segment", "run"])
+def test_overlapping_words_are_a_data_error(capsys, monkeypatch, command):
+    words = [
+        {"text": "hi", "start_s": 0.0, "end_s": 0.6},
+        {"text": "there", "start_s": 0.5, "end_s": 0.9},
+    ]
+    line = json.dumps(video_obj(words=words)) + "\n"
+    code, out, err = run_cli(capsys, [command], line, monkeypatch)
+    assert code == 1 and out == ""
+    assert "word 1 starts at 0.5 before the previous word ends at 0.6" in err
 
 
 def test_pack_takes_segments_longer_than_the_default_cap(capsys, monkeypatch):

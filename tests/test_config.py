@@ -71,7 +71,7 @@ def test_validation_rejects_out_of_range():
         PipelineConfig(tokens_per_segment=0)
     with pytest.raises(ValueError, match="patch must be a positive integer"):
         PipelineConfig(patch=0)
-    with pytest.raises(ValueError, match="pool must be a positive integer"):
+    with pytest.raises(ValueError, match="pool must be an integer"):
         PipelineConfig(pool=2.0)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,23 @@ def test_example_round_trip_exact():
     segs = tuple(make_segment(t0=i * 5.0) for i in range(2))
     example = PackedExample(segments=segs, provenance=(("a", 0), ("b", 4)))
     assert example_from_json(example_to_json(example)) == example
+
+
+@pytest.mark.parametrize(
+    "provenance, message",
+    [
+        ([["a", "3"]], "provenance[0][1] must be an integer"),
+        ([["a", 3.0]], "provenance[0][1] must be an integer"),
+        ([[7, 3]], "provenance[0][0] must be a string"),
+        ([["a", 3, 4]], "provenance[0] must be a [video_id, index] pair"),
+        ("a3", "provenance must be a list"),
+    ],
+)
+def test_example_provenance_is_strict(provenance, message):
+    segs = (make_segment(),)
+    obj = example_to_json(PackedExample(segments=segs, provenance=(("a", 3),)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        example_from_json({**obj, "provenance": provenance})
 
 
 def test_dump_line_is_compact_and_preserves_unicode():
