@@ -142,15 +142,6 @@ def numba_active() -> bool:
 
 def encode_words(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Flatten words into (codepoint array, offsets array) for the kernels."""
-    offsets = np.zeros(len(words) + 1, dtype=np.int64)
-    total = 0
-    for i, w in enumerate(words):
-        total += len(w)
-        offsets[i + 1] = total
-    flat = np.empty(total, dtype=np.int32)
-    pos = 0
-    for w in words:
-        for ch in w:
-            flat[pos] = ord(ch)
-            pos += 1
+    offsets = np.cumsum([0] + [len(w) for w in words], dtype=np.int64)
+    flat = np.array([ord(ch) for w in words for ch in w], dtype=np.int32)
     return flat, offsets

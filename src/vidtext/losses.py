@@ -12,12 +12,27 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf, logsumexp
 
 from .masking import LABEL_SENTINEL
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_erf = np.vectorize(math.erf, otypes=[np.float64])
+
+
+def logsumexp(a, axis=None, keepdims: bool = False):
+    """``log(sum(exp(a)))`` over ``axis`` by scipy 1.17's formula, bit for bit:
+    the maxima are counted apart from the rest, which is shifted by the max (by 0
+    where the max is not finite), and the result is
+    ``log1p(rest / count) + log(count) + max``."""
+    a = np.asarray(a, dtype=np.float64)
+    top = a.max(axis=axis, keepdims=True)
+    ties = a == top
+    count = ties.sum(axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    rest = np.exp(np.where(ties, -np.inf, a) - shift).sum(axis=axis, keepdims=True)
+    out = np.log1p(rest / count) + np.log(count) + top
+    return (out if keepdims else np.squeeze(out, axis=axis))[()]
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,7 @@ def contrastive_loss(
     return LossReport(value=value, gradients=grads)
 
 
-def masked_lm_loss(logits, labels, sentinel: int = LABEL_SENTINEL) -> LossReport:
+def masked_lm_loss(logits, labels) -> LossReport:
     """Mean cross-entropy over the positions whose label is not the sentinel."""
     z = _as_matrix(logits, "logits")
     y = np.asarray(labels, dtype=np.int64)
@@ -109,7 +124,7 @@ def masked_lm_loss(logits, labels, sentinel: int = LABEL_SENTINEL) -> LossReport
         raise ValueError(
             f"labels must be a length-{z.shape[0]} vector, got shape {y.shape}"
         )
-    live = y != sentinel
+    live = y != LABEL_SENTINEL
     if not live.any():
         raise ValueError("every label is the sentinel; nothing to score")
     picked = y[live]
@@ -129,12 +144,12 @@ def masked_lm_loss(logits, labels, sentinel: int = LABEL_SENTINEL) -> LossReport
 
 def gelu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    return 0.5 * x * (1.0 + _erf(x / _SQRT2))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return 0.5 * (1.0 + _erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 _ACTIVATIONS = {

@@ -28,6 +28,7 @@ ACTION_MASK = "mask_token"
 ACTION_RANDOM = "random_token"
 ACTION_KEEP = "keep"
 _ACTIONS = (ACTION_MASK, ACTION_RANDOM, ACTION_KEEP)
+_ACTION_PROBS = (0.8, 0.1, 0.1)  # the chance of each action, in _ACTIONS order
 
 LABEL_SENTINEL = -100
 
@@ -134,13 +135,12 @@ def select_targets(
     attended_share: float = 0.50,
     span_mean: float = 0.5,
     top_frac: float = 0.20,
-    action_probs: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> MaskPlan:
     """Plan which positions get corrupted and how.
 
     ``span_mean`` is the expected extension length per direction; the
-    geometric parameter follows from it.  ``action_probs`` orders as
-    (mask, random, keep) and must sum to 1.
+    geometric parameter follows from it.  Each seed's span gets the mask,
+    random or keep action with probability 0.8, 0.1 or 0.1.
     """
     if n_tokens < 1:
         raise ValueError(f"n_tokens must be at least 1, got {n_tokens}")
@@ -154,8 +154,6 @@ def select_targets(
         raise ValueError(f"attended_share must be within [0, 1], got {attended_share}")
     if span_mean < 0.0:
         raise ValueError(f"span_mean must be non-negative, got {span_mean}")
-    if abs(sum(action_probs) - 1.0) > 1e-9 or min(action_probs) < 0:
-        raise ValueError(f"action probabilities must sum to 1, got {action_probs}")
 
     maskable = profile.maskable()
     specials = profile.special_positions
@@ -210,7 +208,7 @@ def select_targets(
             span.append(pos)
         spans.append(span)
 
-    cut = np.cumsum(action_probs)
+    cut = np.cumsum(_ACTION_PROBS)
     seed_actions: list[str] = []
     for _ in seeds:
         u = rng.random()
@@ -238,7 +236,6 @@ def apply_plan(
     vocab_size: int,
     mask_id: int,
     special_ids: Sequence[int] = (),
-    sentinel: int = LABEL_SENTINEL,
 ) -> tuple[list[int], list[int]]:
     """Corrupt ``tokens`` per plan; labels keep originals at target positions.
 
@@ -262,7 +259,7 @@ def apply_plan(
     banned = set(int(i) for i in special_ids) | {int(mask_id)}
     allowed: np.ndarray | None = None
     out = [int(t) for t in tokens]
-    labels = [sentinel] * n
+    labels = [LABEL_SENTINEL] * n
     for pos in sorted(plan.actions):
         action = plan.actions[pos]
         labels[pos] = out[pos]

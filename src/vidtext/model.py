@@ -307,9 +307,13 @@ def typed_list(obj: dict[str, Any], key: str, kind: type) -> list:
 
 
 def typed_rows(obj: dict[str, Any], key: str, kind: type) -> list[list]:
-    """A list of lists of JSON values, each checked by ``_typed``."""
+    """A list of equally long lists of JSON values, each checked by ``_typed``."""
     rows = _list(_member(obj, key), key)
-    return [_typed_items(row, kind, f"{key}[{r}]") for r, row in enumerate(rows)]
+    out = [_typed_items(row, kind, f"{key}[{r}]") for r, row in enumerate(rows)]
+    for r, row in enumerate(out):
+        if len(row) != len(out[0]):
+            raise ValueError(f"{key}[{r}] has {len(row)} entries, {key}[0] has {len(out[0])}")
+    return out
 
 
 def list_field(obj: dict[str, Any], key: str, decode: Callable) -> list:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
+
+from .losses import logsumexp
 
 CLASS_SAME = 0
 CLASS_BEFORE = 1  # caption precedes the frame
@@ -60,17 +60,17 @@ class PairwiseRelationTable:
     def n(self) -> int:
         return int(self.log_probs.shape[0])
 
-    def validate(self, tol: float = 1e-6) -> None:
-        """Require each (i, j) cell to be a normalized distribution."""
+    def validate(self) -> None:
+        """Require each (i, j) cell to be a normalized distribution, within 1e-6."""
         if np.any(np.isnan(self.log_probs)) or np.any(self.log_probs == np.inf):
             raise ValueError("log-probabilities must be < inf and not NaN")
         mass = logsumexp(self.log_probs, axis=2)
         worst = float(np.abs(mass).max())
-        if worst > tol:
+        if worst > 1e-6:
             i, j = np.unravel_index(int(np.abs(mass).argmax()), mass.shape)
             raise ValueError(
                 f"cell ({i}, {j}) is not normalized: logsumexp {mass[i, j]:.3g} "
-                f"(tolerance {tol:.3g})"
+                "(tolerance 1e-06)"
             )
 
     @classmethod
@@ -210,12 +210,50 @@ def best_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], float]:
     return perm, frame_order_score(lp, perm)
 
 
+def _potentials(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column potentials ``u``, ``v`` with ``u[i] + v[j] <= cost[i, j]``
+    everywhere and equality on a minimum-cost assignment ``col_of`` of the square
+    ``cost``: each row whose cheapest column is still free takes it, and each
+    other row one shortest augmenting path (Kuhn 1955)."""
+    size = cost.shape[0]
+    u, v = cost.min(axis=1), np.zeros(size + 1)
+    row_of = np.full(size + 1, -1)  # row_of[j]: row on column j; column `size` is the root
+    for i in range(size):
+        cheap = np.flatnonzero((cost[i] == u[i]) & (row_of[:size] == -1))
+        if cheap.size:
+            row_of[cheap[0]] = i
+    for i in np.setdiff1d(np.arange(size), row_of):
+        row_of[size], j0 = i, size
+        dist, prev = np.full(size + 1, np.inf), np.full(size + 1, size)
+        used = np.zeros(size + 1, dtype=bool)
+        while row_of[j0] != -1:  # grow the tree until it reaches a free column
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0] - u[i0] - v[:size]
+            closer = ~used[:size] & (reduced < dist[:size])
+            dist[:size][closer], prev[:size][closer] = reduced[closer], j0
+            j1 = int(np.argmin(np.where(used[:size], np.inf, dist[:size])))
+            delta = dist[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[~used] -= delta
+            j0 = j1
+        while j0 != size:  # flip the path back to the root
+            row_of[j0] = row_of[prev[j0]]
+            j0 = prev[j0]
+    col_of = np.empty(size, dtype=np.int64)
+    col_of[row_of[:size]] = np.arange(size)
+    return u, v[:size], col_of
+
+
 def hungarian_match(similarity) -> tuple[tuple[tuple[int, int], ...], float]:
     """Maximum-total-weight one-to-one assignment of min(n, m) pairs.
 
     Among equally weighted optima the lexicographically smallest pair
-    sequence (sorted by row) wins, which costs one reduced assignment solve
-    per considered cell; fine at evaluation scale.
+    sequence (sorted by row) wins: after one solve of the zero-padded square
+    problem, rows in order take their smallest column whose edge the
+    potentials make tight and that an alternating path over tight edges can
+    free, since the optimal assignments are the perfect matchings of tight edges.
     """
     sim = np.asarray(similarity, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] < 1 or sim.shape[1] < 1:
@@ -223,40 +261,37 @@ def hungarian_match(similarity) -> tuple[tuple[tuple[int, int], ...], float]:
     if not np.all(np.isfinite(sim)):
         raise ValueError("similarity contains non-finite entries")
     n, m = sim.shape
-    k = min(n, m)
-
-    def lsa_value(rows: list[int], cols: list[int]) -> float:
-        if not rows or not cols:
-            return 0.0
-        r, c = linear_sum_assignment(sim[np.ix_(rows, cols)], maximize=True)
-        return float(sim[np.ix_(rows, cols)][r, c].sum())
-
-    target = lsa_value(list(range(n)), list(range(m)))
-    rows_left = list(range(n))
-    cols_left = list(range(m))
-    pairs: list[tuple[int, int]] = []
-    acc = 0.0
-    while len(pairs) < k:
-        row = rows_left[0]
-        rest_rows = rows_left[1:]
-        need = k - len(pairs) - 1
-        assigned = False
-        for col in cols_left:
-            rest_cols = [c for c in cols_left if c != col]
-            if min(len(rest_rows), len(rest_cols)) < need:
-                continue
-            completion = lsa_value(rest_rows, rest_cols) if need else 0.0
-            cand = acc + sim[row, col] + completion
-            if math.isclose(cand, target, rel_tol=1e-9, abs_tol=1e-9):
-                pairs.append((row, col))
-                acc += sim[row, col]
-                cols_left.remove(col)
-                assigned = True
-                break
-        rows_left.pop(0)
-        if not assigned and len(rows_left) < k - len(pairs):
-            raise RuntimeError("assignment search lost optimality; tolerance too tight")
-    return tuple(pairs), float(acc)
+    size = max(n, m)
+    cost = np.zeros((size, size))
+    cost[:n, :m] = -sim
+    u, v, col_of = _potentials(cost)
+    best = float(cost[np.arange(size), col_of].sum())
+    # Tight up to the rounding of the potentials, and so loosely that any perfect
+    # matching of tight edges stays within 1e-9 of the optimum.
+    tight = cost - u[:, None] - v <= 1e-9 * max(1.0, abs(best)) / size
+    for i in range(n):
+        target = col_of[i]
+        if not tight[i, :target].any():
+            continue
+        row_of = np.argsort(col_of)
+        reach = np.zeros(size, dtype=bool)  # rows after i that can move on towards target
+        via = np.empty(size, dtype=np.int64)  # the column each such row moves to
+        frontier = np.array([target])
+        while frontier.size:
+            hit = tight[:, frontier] & ((np.arange(size) > i) & ~reach)[:, None]
+            found = np.flatnonzero(hit.any(axis=1))
+            reach[found], via[found] = True, frontier[hit[found].argmax(axis=1)]
+            frontier = col_of[found]
+        free = tight[i] & reach[row_of]
+        free[target] = True
+        j = int(np.argmax(free))
+        if j != target:  # i takes j; its owner moves on along the path to target
+            r, col_of[i] = row_of[j], j
+            while j != target:
+                j = col_of[r] = via[r]
+                r = row_of[j]
+    pairs = tuple((i, int(col_of[i])) for i in range(n) if col_of[i] < m)
+    return pairs, float(sum(sim[i, j] for i, j in pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,6 @@ def run_pipeline(
     input_fp: IO[str],
     output_fp: IO[str],
     jobs: int = 1,
-    max_error_samples: int = 10,
 ) -> RunManifest:
     """Drive the full filter -> segment -> pack pipeline over JSONL streams."""
     if jobs < 1:
@@ -271,7 +270,7 @@ def run_pipeline(
     manifest = RunManifest(config=config.to_json(), config_sha256=config.sha256())
 
     def sample(lineno: int, message: str) -> None:
-        if len(manifest.error_samples) < max_error_samples:
+        if len(manifest.error_samples) < 10:
             manifest.error_samples.append(message)
 
     tally: Counter = Counter()

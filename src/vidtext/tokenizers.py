@@ -72,7 +72,6 @@ class ByteBpeTokenizer:
         self,
         vocab: dict[str, int],
         merges: list[tuple[str, str]],
-        special_tokens: Sequence[str] = (),
     ) -> None:
         self._vocab = dict(vocab)
         self._inverse = {i: t for t, i in self._vocab.items()}
@@ -82,19 +81,11 @@ class ByteBpeTokenizer:
         self._byte_to_char = _bytes_to_unicode()
         self._char_to_byte = {c: b for b, c in self._byte_to_char.items()}
         self.vocab_size = max(self._vocab.values()) + 1
-        missing = [t for t in special_tokens if t not in self._vocab]
-        if missing:
-            raise ValueError(f"special tokens absent from vocabulary: {missing}")
-        self.special_ids = frozenset(self._vocab[t] for t in special_tokens)
+        self.special_ids: frozenset[int] = frozenset()
         self._cache: dict[str, list[int]] = {}
 
     @classmethod
-    def from_files(
-        cls,
-        vocab_path: str | Path,
-        merges_path: str | Path,
-        special_tokens: Sequence[str] = (),
-    ) -> "ByteBpeTokenizer":
+    def from_files(cls, vocab_path: str | Path, merges_path: str | Path) -> "ByteBpeTokenizer":
         with open(vocab_path, encoding="utf-8") as fp:
             vocab = json.load(fp)
         merges: list[tuple[str, str]] = []
@@ -105,7 +96,7 @@ class ByteBpeTokenizer:
                     continue
                 a, b = line.split(" ")
                 merges.append((a, b))
-        return cls(vocab, merges, special_tokens)
+        return cls(vocab, merges)
 
     def _bpe(self, chars: list[str]) -> list[str]:
         parts = chars

@@ -12,6 +12,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -57,6 +58,43 @@ def brute_force_assignment(sim: np.ndarray) -> float:
     for cols in itertools.permutations(range(m), n):
         best = max(best, sum(sim[r, c] for r, c in enumerate(cols)))
     return best
+
+
+def resolve_per_cell_match(sim: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
+    """Lexicographically smallest optimal matching of min(n, m) pairs: rows in
+    order take their smallest column for which a fresh assignment solve of the
+    remaining rows and columns still reaches the optimum, within 1e-9."""
+    n, m = sim.shape
+    k = min(n, m)
+
+    def solve(rows: list[int], cols: list[int]) -> float:
+        if not rows or not cols:
+            return 0.0
+        sub = sim[np.ix_(rows, cols)]
+        r, c = linear_sum_assignment(sub, maximize=True)
+        return float(sub[r, c].sum())
+
+    target = solve(list(range(n)), list(range(m)))
+    cols_left = list(range(m))
+    pairs: list[tuple[int, int]] = []
+    acc = 0.0
+    for row in range(n):
+        if len(pairs) == k:
+            break
+        rest_rows = list(range(row + 1, n))
+        need = k - len(pairs) - 1
+        for col in cols_left:
+            rest_cols = [c for c in cols_left if c != col]
+            if min(len(rest_rows), len(rest_cols)) < need:
+                continue
+            cand = acc + sim[row, col] + (solve(rest_rows, rest_cols) if need else 0.0)
+            if math.isclose(cand, target, rel_tol=1e-9, abs_tol=1e-9):
+                pairs.append((row, col))
+                acc += sim[row, col]
+                cols_left.remove(col)
+                break
+    assert len(pairs) == k, "the re-solves lost the optimum"
+    return tuple(pairs), float(acc)
 
 
 def brute_force_best_permutation(log_probs: np.ndarray) -> tuple[tuple[int, ...], float]:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +14,21 @@ from vidtext.cli import main
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
         import io
-        import sys
 
         assert monkeypatch is not None
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    import vidtext
+
+    code = "import sys, vidtext.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(vidtext.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_shape_defaults(capsys):
@@ -241,6 +253,15 @@ def test_loss_json_arrays_are_strict(capsys, tmp_path):
     assert f"error: {labels}[0] must be an integer, got 1.7" in err
 
 
+def test_loss_ragged_json_matrix_names_the_file_and_row(capsys, tmp_path):
+    ragged = tmp_path / "r.json"
+    ragged.write_text("[[0.5, 1], [2]]")
+    argv = ["loss", "contrastive", "--frames", str(ragged), "--captions", str(ragged)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"error: {ragged}[1] has 1 entries, {ragged}[0] has 2" in err
+
+
 def test_loss_combine(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -451,6 +472,15 @@ def test_strict_boundary_types_are_data_errors(capsys, monkeypatch, command):
         assert code == 1, line
         assert "Traceback" not in err
         assert where in err, err
+
+
+@pytest.mark.parametrize("command", ["filter", "run"])
+def test_ragged_thumbnail_rows_are_data_errors(capsys, monkeypatch, command):
+    ragged = {"object_probs": [[0.9, 0.9], [0.9]] + [[0.9, 0.9]] * 2, "features": [[1.0]] * 4}
+    line = json.dumps(video_obj(thumbnails=ragged))
+    code, _, err = run_cli(capsys, [command], line + "\n", monkeypatch)
+    assert code == 1
+    assert "object_probs[1] has 1 entries, object_probs[0] has 2" in err
 
 
 def test_pack_validates_every_record_and_skips_non_objects(capsys, monkeypatch):

@@ -49,9 +49,12 @@ def test_levenshtein_triangle_inequality(a, b, c):
 
 
 def test_encode_words_offsets():
-    flat, offsets = encode_words(["ab", "", "xyz"])
-    assert offsets.tolist() == [0, 2, 2, 5]
-    assert flat.tolist() == [ord(c) for c in "abxyz"]
+    flat, offsets = encode_words(["ab", "", "xyz", "café", "日本", "😀"])
+    assert offsets.tolist() == [0, 2, 2, 5, 9, 11, 12]
+    assert flat.tolist() == [ord(c) for c in "abxyzcafé日本😀"]
+    assert (flat.dtype, offsets.dtype) == (np.int32, np.int64)
+    empty, offsets = encode_words([])
+    assert (empty.tolist(), empty.dtype, offsets.tolist()) == ([], np.int32, [0])
 
 
 def test_pair_cost_matrix_cells():

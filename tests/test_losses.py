@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp as scipy_logsumexp
 
 from oracles import cross_entropy_mean, finite_difference, log_softmax_rows
 from vidtext.losses import (
@@ -10,11 +12,29 @@ from vidtext.losses import (
     contrastive_loss,
     gelu,
     l2_normalize,
+    logsumexp,
     masked_lm_loss,
     order_logits,
     order_pair_loss,
     ordering_loss,
 )
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+        elements=st.one_of(st.sampled_from([-np.inf, -2.5, 0.0, 1.0]), st.floats(-800, 800)),
+    ),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_logsumexp_equals_scipy_bit_for_bit(a, data):
+    """Tied maxima, -inf entries and all -inf slices included."""
+    axis = data.draw(st.sampled_from([None, *range(-a.ndim, a.ndim), tuple(range(a.ndim))]))
+    keepdims = data.draw(st.booleans())
+    got = logsumexp(a, axis=axis, keepdims=keepdims)
+    assert np.array_equal(got, scipy_logsumexp(a, axis=axis, keepdims=keepdims))
 
 
 def unit_rows(rng, b, d):

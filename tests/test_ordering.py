@@ -13,6 +13,7 @@ from oracles import (
     brute_force_frame_ordering,
     pairwise_accuracy_reference,
     relation_table_score,
+    resolve_per_cell_match,
     smallest_near_best,
     spearman_reference,
 )
@@ -234,6 +235,26 @@ def test_hungarian_total_matches_brute_force(n, m, seed):
     rows = [r for r, _ in pairs]
     cols = [c for _, c in pairs]
     assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=47),
+    st.sampled_from(["random", "equal", "grid"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_hungarian_matches_the_per_cell_resolve_oracle(n, m, kind, seed):
+    """Same pairs and total as re-solving one assignment per tried cell, on
+    matrices far beyond the brute-force oracle and with many tied optima."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        sim = rng.normal(size=(n, m))
+    elif kind == "equal":
+        sim = np.full((n, m), rng.normal())
+    else:
+        sim = rng.integers(0, 8, size=(n, m)) / 8
+    assert hungarian_match(sim) == resolve_per_cell_match(sim)
 
 
 def test_hungarian_prefers_lexicographic_pairs_on_ties():
