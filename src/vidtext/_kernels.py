@@ -1,17 +1,13 @@
-"""Hot inner-loop kernels with optional numba acceleration.
+"""The alignment kernels in numpy: word-pair edit costs and the DP fill.
 
-The word-distance matrix and the alignment DP fill dominate runtime when
-aligning long transcripts, so both carry ``@njit`` versions.  They are used
-when numba imports (the optional ``vidtext[numba]`` extra) and the pure
-Python ``*_py`` fallbacks otherwise.  Both paths run integer arithmetic only,
-so results are identical bit for bit; when numba is installed the test suite
-checks this, and ``perfbench/run.py`` times both on its align workload.
+``pair_cost_matrix`` computes one Levenshtein distance per pair of distinct
+word types, not per cell, running each row type's DP across every column
+type at once; ``alignment_fill`` fills the alignment DP a row at a time with
+a running minimum.  Both compute in integers, so they match the per-cell
+loops in ``tests/oracles.py`` exactly.
 
-Step codes used by the alignment fill, in tie-break priority order:
-
-* 0 -- advance both sequences (diagonal)
-* 1 -- advance the column sequence only
-* 2 -- advance the row sequence only
+Step codes, in tie-break priority order: 0 advances both sequences
+(diagonal), 1 the column sequence only, 2 the row sequence only.
 """
 
 from __future__ import annotations
@@ -22,122 +18,79 @@ STEP_BOTH = 0
 STEP_COL = 1
 STEP_ROW = 2
 
-
-def levenshtein_codes_py(a: np.ndarray, b: np.ndarray) -> int:
-    """Edit distance between two int32 code sequences (two-row DP)."""
-    n, m = len(a), len(b)
-    if n == 0:
-        return m
-    if m == 0:
-        return n
-    prev = np.arange(m + 1, dtype=np.int32)
-    cur = np.empty(m + 1, dtype=np.int32)
-    for i in range(n):
-        cur[0] = i + 1
-        ai = a[i]
-        for j in range(m):
-            cost = 0 if ai == b[j] else 1
-            cur[j + 1] = min(prev[j] + cost, prev[j + 1] + 1, cur[j] + 1)
-        prev, cur = cur, prev
-    return int(prev[m])
+# perfbench still reads these and numba_active(); the next benchmark change removes all three.
+pair_cost_matrix_nb = alignment_fill_nb = None
 
 
-def pair_cost_matrix_py(
-    a_flat: np.ndarray,
-    a_offsets: np.ndarray,
-    b_flat: np.ndarray,
-    b_offsets: np.ndarray,
+def numba_active() -> bool:
+    """Always False: the kernels have one numpy implementation."""
+    return False
+
+
+def _word_types(flat: np.ndarray, offsets: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Distinct words in first-seen order, and each word's index among them."""
+    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    index: dict[bytes, int] = {}
+    inverse = [index.setdefault(flat[s:e].tobytes(), len(index)) for s, e in bounds]
+    return [np.frombuffer(key, dtype=flat.dtype) for key in index], np.array(inverse, np.intp)
+
+
+def pair_cost_matrix(
+    a_flat: np.ndarray, a_offsets: np.ndarray, b_flat: np.ndarray, b_offsets: np.ndarray
 ) -> np.ndarray:
     """Levenshtein distance between every (row word, column word) pair.
 
     Words arrive flattened: ``a_flat[a_offsets[i]:a_offsets[i + 1]]`` holds the
     code points of row word ``i``, and likewise for columns.
     """
-    n = len(a_offsets) - 1
-    m = len(b_offsets) - 1
-    out = np.empty((n, m), dtype=np.int32)
-    for i in range(n):
-        ai = a_flat[a_offsets[i] : a_offsets[i + 1]]
-        for j in range(m):
-            bj = b_flat[b_offsets[j] : b_offsets[j + 1]]
-            out[i, j] = levenshtein_codes_py(ai, bj)
-    return out
+    a_types, a_inverse = _word_types(a_flat, a_offsets)
+    b_types, b_inverse = _word_types(b_flat, b_offsets)
+    b_len = np.array([len(w) for w in b_types], dtype=np.intp)
+    width = int(b_len.max(initial=0))
+    # Padding lies past each word's end, and a DP cell depends only on the
+    # columns before it, so padding never reaches the cell read at the end.
+    b_pad = np.full((len(b_types), width), -1, dtype=np.int32)
+    for t, word in enumerate(b_types):
+        b_pad[t, : len(word)] = word
+    ramp = np.arange(width + 1, dtype=np.int32)
+    columns = np.arange(len(b_types))
+    dist = np.empty((len(a_types), len(b_types)), dtype=np.int32)
+    for t, word in enumerate(a_types):
+        prev = np.broadcast_to(ramp, (len(b_types), width + 1))
+        for i, code in enumerate(word.tolist(), start=1):
+            # Diagonal and vertical moves into cur[1:]; cur[0] is i.  The
+            # horizontal chain cur[j + 1] = min(best[j], cur[j] + 1) is then a
+            # running minimum of best - j, shifted back by j.
+            best = np.minimum(prev[:, :-1] + (b_pad != code), prev[:, 1:] + 1)
+            cur = np.empty_like(prev)
+            cur[:, 0] = i
+            cur[:, 1:] = best - ramp[1:]
+            prev = np.minimum.accumulate(cur, axis=1) + ramp
+        dist[t] = prev[columns, b_len]
+    return dist[np.ix_(a_inverse, b_inverse)]
 
 
-def alignment_fill_py(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate the monotone full-coverage alignment DP over ``cost``.
-
-    Returns the cumulative-cost matrix and a same-shape step matrix whose
-    entries record which predecessor each cell used.  Ties go to the lowest
-    step code, i.e. diagonal first, then advancing the column sequence.
-    """
+def alignment_fill(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative costs of the monotone full-coverage alignment DP over
+    ``cost``, and the step code each cell took, ties going to the lowest."""
     n, m = cost.shape
     acc = np.empty((n, m), dtype=np.int64)
-    step = np.empty((n, m), dtype=np.int8)
-    acc[0, 0] = cost[0, 0]
+    step = np.full((n, m), STEP_COL, dtype=np.int8)
+    acc[0] = np.cumsum(cost[0], dtype=np.int64)
     step[0, 0] = STEP_BOTH
-    for j in range(1, m):
-        acc[0, j] = acc[0, j - 1] + cost[0, j]
-        step[0, j] = STEP_COL
+    step[1:, 0] = STEP_ROW
     for i in range(1, n):
-        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
-        step[i, 0] = STEP_ROW
-        for j in range(1, m):
-            best = acc[i - 1, j - 1]
-            code = STEP_BOTH
-            if acc[i, j - 1] < best:
-                best = acc[i, j - 1]
-                code = STEP_COL
-            if acc[i - 1, j] < best:
-                best = acc[i - 1, j]
-                code = STEP_ROW
-            acc[i, j] = best + cost[i, j]
-            step[i, j] = code
+        # acc[i, j] = min(mm[j], acc[i, j - 1]) + cost[i, j] unrolls to C[j] +
+        # min over k <= j of (mm[k] - C[k - 1]), C being the running row sum.
+        diag, up = acc[i - 1, :-1], acc[i - 1, 1:]
+        mm = acc[i - 1].copy()
+        np.minimum(diag, up, out=mm[1:])
+        run = np.cumsum(cost[i], dtype=np.int64)
+        acc[i] = run + np.minimum.accumulate(mm - (run - cost[i]))
+        left = acc[i, :-1]
+        col = np.where(left < diag, STEP_COL, STEP_BOTH)
+        step[i, 1:] = np.where(up < np.minimum(diag, left), STEP_ROW, col)
     return acc, step
-
-
-# Both variants stay importable, so benchmarks and tests can compare the
-# paths in one process; the public aliases point at the jitted one if numba
-# imports.
-try:
-    from numba import njit
-
-    levenshtein_codes_nb = njit(cache=True)(levenshtein_codes_py)
-
-    # pair_cost_matrix_py closes over the interpreted levenshtein, so the
-    # jitted variant needs its own body that calls the jitted one.
-    @njit(cache=True)
-    def pair_cost_matrix_nb(a_flat, a_offsets, b_flat, b_offsets):
-        n = len(a_offsets) - 1
-        m = len(b_offsets) - 1
-        out = np.empty((n, m), dtype=np.int32)
-        for i in range(n):
-            ai = a_flat[a_offsets[i] : a_offsets[i + 1]]
-            for j in range(m):
-                bj = b_flat[b_offsets[j] : b_offsets[j + 1]]
-                out[i, j] = levenshtein_codes_nb(ai, bj)
-        return out
-
-    alignment_fill_nb = njit(cache=True)(alignment_fill_py)
-except ImportError:
-    levenshtein_codes_nb = None
-    pair_cost_matrix_nb = None
-    alignment_fill_nb = None
-
-_USE_NUMBA = alignment_fill_nb is not None
-if _USE_NUMBA:
-    levenshtein_codes = levenshtein_codes_nb
-    pair_cost_matrix = pair_cost_matrix_nb
-    alignment_fill = alignment_fill_nb
-else:
-    levenshtein_codes = levenshtein_codes_py
-    pair_cost_matrix = pair_cost_matrix_py
-    alignment_fill = alignment_fill_py
-
-
-def numba_active() -> bool:
-    """True when numba imported, so the public aliases are the jitted kernels."""
-    return _USE_NUMBA
 
 
 def encode_words(words: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import _kernels
 from .model import TimedWord
 
@@ -38,9 +36,8 @@ def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance between two strings."""
     if a == b:
         return 0
-    codes_a = np.array([ord(c) for c in a], dtype=np.int32)
-    codes_b = np.array([ord(c) for c in b], dtype=np.int32)
-    return int(_kernels.levenshtein_codes(codes_a, codes_b))
+    cost = _kernels.pair_cost_matrix(*_kernels.encode_words([a]), *_kernels.encode_words([b]))
+    return int(cost[0, 0])
 
 
 def dtw_align(noisy: Sequence[str], clean: Sequence[str]) -> Alignment:

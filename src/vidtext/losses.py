@@ -17,7 +17,11 @@ from .masking import LABEL_SENTINEL
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_erf = np.vectorize(math.erf, otypes=[np.float64])
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """``math.erf`` per element of a float64 array."""
+    return np.fromiter(map(math.erf, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def logsumexp(a, axis=None, keepdims: bool = False):

@@ -49,6 +49,44 @@ def exhaustive_alignment_cost(noisy: list[str], clean: list[str]) -> int:
     return best(0, 0)
 
 
+# Step codes of the alignment fill, in tie-break priority order.
+STEP_BOTH = 0
+STEP_COL = 1
+STEP_ROW = 2
+
+
+def alignment_fill_loop(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate the monotone full-coverage alignment DP over ``cost``.
+
+    Returns the cumulative-cost matrix and a same-shape step matrix whose
+    entries record which predecessor each cell used.  Ties go to the lowest
+    step code, i.e. diagonal first, then advancing the column sequence.
+    """
+    n, m = cost.shape
+    acc = np.empty((n, m), dtype=np.int64)
+    step = np.empty((n, m), dtype=np.int8)
+    acc[0, 0] = cost[0, 0]
+    step[0, 0] = STEP_BOTH
+    for j in range(1, m):
+        acc[0, j] = acc[0, j - 1] + cost[0, j]
+        step[0, j] = STEP_COL
+    for i in range(1, n):
+        acc[i, 0] = acc[i - 1, 0] + cost[i, 0]
+        step[i, 0] = STEP_ROW
+        for j in range(1, m):
+            best = acc[i - 1, j - 1]
+            code = STEP_BOTH
+            if acc[i, j - 1] < best:
+                best = acc[i, j - 1]
+                code = STEP_COL
+            if acc[i - 1, j] < best:
+                best = acc[i - 1, j]
+                code = STEP_ROW
+            acc[i, j] = best + cost[i, j]
+            step[i, j] = code
+    return acc, step
+
+
 def brute_force_assignment(sim: np.ndarray) -> float:
     """Best total weight of any one-to-one matching of min(n, m) pairs."""
     n, m = sim.shape

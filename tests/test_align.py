@@ -1,8 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_alignment_cost, levenshtein_recursive
+from oracles import (
+    STEP_BOTH,
+    STEP_COL,
+    alignment_fill_loop,
+    exhaustive_alignment_cost,
+    levenshtein_recursive,
+)
 from vidtext.align import align_and_time, dtw_align, levenshtein, transfer_timing
 from vidtext.model import TimedWord
 
@@ -45,6 +52,34 @@ def test_alignment_cost_matches_exhaustive_search(noisy, clean):
     # Reported cost equals the sum over the reported path.
     path_cost = sum(levenshtein(noisy[i], clean[j]) for i, j in alignment.pairs)
     assert path_cost == alignment.total_cost
+
+
+def _loop_path(noisy, clean):
+    """The alignment path from per-cell oracles and the same backtrack."""
+    cost = np.array([[levenshtein_recursive(a, b) for b in clean] for a in noisy])
+    _, step = alignment_fill_loop(cost)
+    i, j = len(noisy) - 1, len(clean) - 1
+    rev = [(i, j)]
+    while (i, j) != (0, 0):
+        if step[i, j] == STEP_BOTH:
+            i, j = i - 1, j - 1
+        elif step[i, j] == STEP_COL:
+            j -= 1
+        else:
+            i -= 1
+        rev.append((i, j))
+    return tuple(reversed(rev))
+
+
+@given(
+    st.lists(st.sampled_from(["a", "ab", "b", "ba", "abc"]), min_size=1, max_size=8),
+    st.lists(st.sampled_from(["a", "ab", "b", "ba", "abc"]), min_size=1, max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_alignment_pairs_match_loop_oracle(noisy, clean):
+    # Short words from a small pool make many tied paths, so the pairs
+    # check the tie order, which the total cost alone does not.
+    assert dtw_align(noisy, clean).pairs == _loop_path(noisy, clean)
 
 
 @given(st.lists(word, min_size=1, max_size=6), st.lists(word, min_size=1, max_size=6))

@@ -1,51 +1,51 @@
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import levenshtein_recursive
-from vidtext._kernels import (
-    alignment_fill_py,
-    encode_words,
-    levenshtein_codes_py,
-    pair_cost_matrix_py,
-)
-from vidtext import _kernels
+from oracles import alignment_fill_loop, levenshtein_recursive
+from vidtext._kernels import alignment_fill, encode_words, pair_cost_matrix
 
 words = st.text(
     alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=0, max_size=8
 )
+# Few letters, so that words repeat and share characters; a non-BMP code
+# point; and words longer than 64 code points, past any machine word.
+short_words = st.text(alphabet="abé\U0001f600", max_size=6)
+long_words = st.text(alphabet="ab\U0001f600", min_size=65, max_size=70)
+LONG = "ab\U0001f600" * 23
 
 
-def _codes(s: str) -> np.ndarray:
-    return np.array([ord(c) for c in s], dtype=np.int32)
+def _levenshtein(a: str, b: str) -> int:
+    return int(pair_cost_matrix(*encode_words([a]), *encode_words([b]))[0, 0])
+
+
+@st.composite
+def word_lists(draw):
+    """A list that draws its words from a small pool, so types repeat."""
+    pool = draw(st.lists(st.one_of(short_words, short_words, long_words), min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), max_size=6))
 
 
 @given(words, words)
 @settings(max_examples=200)
 def test_levenshtein_matches_recursive_oracle(a, b):
-    assert levenshtein_codes_py(_codes(a), _codes(b)) == levenshtein_recursive(a, b)
+    assert _levenshtein(a, b) == levenshtein_recursive(a, b)
 
 
 @given(words, words)
 def test_levenshtein_symmetry(a, b):
-    assert levenshtein_codes_py(_codes(a), _codes(b)) == levenshtein_codes_py(
-        _codes(b), _codes(a)
-    )
+    assert _levenshtein(a, b) == _levenshtein(b, a)
 
 
 @given(words)
 def test_levenshtein_identity(a):
-    assert levenshtein_codes_py(_codes(a), _codes(a)) == 0
+    assert _levenshtein(a, a) == 0
 
 
 @given(words, words, words)
 @settings(max_examples=100)
 def test_levenshtein_triangle_inequality(a, b, c):
-    ab = levenshtein_codes_py(_codes(a), _codes(b))
-    bc = levenshtein_codes_py(_codes(b), _codes(c))
-    ac = levenshtein_codes_py(_codes(a), _codes(c))
-    assert ac <= ab + bc
+    assert _levenshtein(a, c) <= _levenshtein(a, b) + _levenshtein(b, c)
 
 
 def test_encode_words_offsets():
@@ -60,7 +60,7 @@ def test_encode_words_offsets():
 def test_pair_cost_matrix_cells():
     a_flat, a_off = encode_words(["cat", "dog"])
     b_flat, b_off = encode_words(["cast", "dig", "dog"])
-    cost = pair_cost_matrix_py(a_flat, a_off, b_flat, b_off)
+    cost = pair_cost_matrix(a_flat, a_off, b_flat, b_off)
     expected = [
         [levenshtein_recursive(x, y) for y in ("cast", "dig", "dog")]
         for x in ("cat", "dog")
@@ -68,25 +68,49 @@ def test_pair_cost_matrix_cells():
     assert cost.tolist() == expected
 
 
+@given(word_lists(), word_lists())
+@example([LONG, "", "a", LONG], ["ab", LONG + "a", "", "ab"])
+@settings(max_examples=100, deadline=None)
+def test_pair_cost_matrix_matches_recursive_oracle(noisy, clean):
+    cost = pair_cost_matrix(*encode_words(noisy), *encode_words(clean))
+    expected = [[levenshtein_recursive(a, b) for b in clean] for a in noisy]
+    assert cost.shape == (len(noisy), len(clean))
+    assert cost.tolist() == expected
+
+
+def test_kernel_dtypes():
+    cost = pair_cost_matrix(*encode_words(["ab", "c"]), *encode_words(["abc"]))
+    acc, step = alignment_fill(cost)
+    assert (cost.dtype, acc.dtype, step.dtype) == (np.int32, np.int64, np.int8)
+    empty = pair_cost_matrix(*encode_words([]), *encode_words(["a"]))
+    assert (empty.shape, empty.dtype) == ((0, 1), np.int32)
+
+
 def test_alignment_fill_prefers_diagonal_on_ties():
     # All-zero costs: every step is a tie, so the fill must pick the diagonal
     # move wherever one is available.
     cost = np.zeros((3, 3), dtype=np.int32)
-    acc, step = alignment_fill_py(cost)
+    acc, step = alignment_fill(cost)
     assert acc[2, 2] == 0
     assert step[1, 1] == 0 and step[2, 2] == 0
 
 
-@pytest.mark.skipif(_kernels.levenshtein_codes_nb is None, reason="numba unavailable")
-@given(st.lists(words, min_size=1, max_size=5), st.lists(words, min_size=1, max_size=5))
-@settings(max_examples=50, deadline=None)
-def test_numba_and_python_bit_identical(noisy, clean):
-    a_flat, a_off = encode_words(noisy)
-    b_flat, b_off = encode_words(clean)
-    cost_py = pair_cost_matrix_py(a_flat, a_off, b_flat, b_off)
-    cost_nb = _kernels.pair_cost_matrix_nb(a_flat, a_off, b_flat, b_off)
-    np.testing.assert_array_equal(cost_py, cost_nb)
-    acc_py, step_py = alignment_fill_py(cost_py)
-    acc_nb, step_nb = _kernels.alignment_fill_nb(cost_nb)
-    np.testing.assert_array_equal(acc_py, acc_nb)
-    np.testing.assert_array_equal(step_py, step_nb)
+@st.composite
+def cost_matrices(draw):
+    """Costs of 1-8 x 1-8 cells; {0, 1} costs make most predecessors tie."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    top = draw(st.sampled_from([1, 9]))
+    values = draw(st.lists(st.integers(0, top), min_size=n * m, max_size=n * m))
+    return np.array(values, dtype=np.int32).reshape(n, m)
+
+
+@given(cost_matrices())
+@example(np.array([[3]], dtype=np.int32))
+@example(np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=np.int32))
+@example(np.array([[1], [0], [1], [1], [0], [0], [1]], dtype=np.int32))
+@settings(max_examples=300)
+def test_alignment_fill_matches_loop_oracle(cost):
+    acc, step = alignment_fill(cost)
+    acc_loop, step_loop = alignment_fill_loop(cost)
+    np.testing.assert_array_equal(acc, acc_loop)
+    np.testing.assert_array_equal(step, step_loop)
