@@ -77,7 +77,6 @@ from .ordering import (
     evaluate_story_set,
     frame_order_score,
     hungarian_match,
-    relation_class,
     score_permutation,
     spearman_positions,
     story_metrics,
@@ -158,7 +157,6 @@ __all__ = [
     "evaluate_story_set",
     "frame_order_score",
     "hungarian_match",
-    "relation_class",
     "score_permutation",
     "spearman_positions",
     "story_metrics",

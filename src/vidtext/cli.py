@@ -44,6 +44,7 @@ from .ordering import (
     best_frame_ordering,
     best_ordering,
     evaluate_story_set,
+    two_way_from_flat,
 )
 from .pipeline import (
     ACCEPTED,
@@ -54,8 +55,8 @@ from .pipeline import (
     decode_record,
     decode_video,
     line_outcome,
+    note_skip,
     outcomes,
-    print_errors,
     run_pipeline,
     segment_video,
     write_examples,
@@ -63,10 +64,6 @@ from .pipeline import (
 from .segmenting import frame_manifest, sequence_shape
 from .selfcheck import selfcheck
 from .tokenizers import load_tokenizer
-
-
-def _note_skip(lineno: int, message: str) -> None:
-    print(f"line {lineno}: skipped ({message})", file=sys.stderr)
 
 
 def _accept(obj: Any, handle: Callable[[Any], Any]) -> tuple[str, Any]:
@@ -84,7 +81,7 @@ def _stream(args, handle: Callable[[Any], dict[str, Any]]) -> int:
     tally: Counter = Counter()
     with ExitStack() as stack:
         fin, fout = _open_streams(args, stack)
-        results = outcomes(_handled(fin, handle), _note_skip, tally)
+        results = outcomes(_handled(fin, handle), note_skip, tally)
         write_jsonl(fout, ({**r, "schema_version": SCHEMA_VERSION} for _, r in results))
     return 1 if tally[ERROR] else 0
 
@@ -221,7 +218,7 @@ def _cmd_pack(args) -> int:
     with ExitStack() as stack:
         fin, fout = _open_streams(args, stack)
         tally: Counter = Counter()
-        records = outcomes(_handled(fin, decode_record), _note_skip, tally)
+        records = outcomes(_handled(fin, decode_record), note_skip, tally)
         stats = write_examples((record for _, record in records), cfg, fout)
         _write_report(args.stats, dataclasses.asdict(stats))
         return 1 if tally[ERROR] else 0
@@ -306,15 +303,9 @@ def _cmd_score_order(args) -> int:
         classes = typed_field(obj, "classes", int) if "classes" in obj else 4
         flat = typed_list(obj, "log_probs", float)
         if classes == 4:
-            table = PairwiseRelationTable.from_flat(n, flat)
-            perm, score = best_ordering(table)
+            perm, score = best_ordering(PairwiseRelationTable.from_flat(n, flat))
         elif classes == 2:
-            arr = np.asarray(flat, dtype=np.float64)
-            if arr.size != n * n * 2:
-                raise ValueError(
-                    f"expected {n * n * 2} log-probabilities for n={n}, got {arr.size}"
-                )
-            perm, score = best_frame_ordering(arr.reshape(n, n, 2))
+            perm, score = best_frame_ordering(two_way_from_flat(n, flat))
         else:
             raise ValueError(f"classes must be 2 or 4, got {classes}")
         return {"permutation": list(perm), "score": score}
@@ -371,7 +362,6 @@ def _cmd_run(args) -> int:
         fin, fout = _open_streams(args, stack)
         manifest = run_pipeline(cfg, fin, fout, jobs=args.jobs)
     _write_report(args.manifest, manifest.to_json())
-    print_errors(manifest, sys.stderr)
     return 1 if manifest.data_errors else 0
 
 

@@ -150,8 +150,8 @@ def corrupt_document(
     length.  Pass ``counters`` to collect how often each corruption fired.
     """
     words = normalize_words(clean)
-    if counters is not None:
-        counters.words_in += len(words)
+    counters = counters if counters is not None else CorruptionCounters()
+    counters.words_in += len(words)
     if cfg.replace_prob == 0.0 and cfg.filler_prob == 0.0:
         return words
     if cfg.replace_prob > 0.0 and tokenizer is None:
@@ -172,24 +172,20 @@ def corrupt_document(
     for word in words:
         emitted = word
         if cfg.replace_prob > 0.0 and rng.random() < cfg.replace_prob:
-            if counters is not None:
-                counters.replaced += 1
+            counters.replaced += 1
             homophones = (
                 table.homophones(word) if rng.random() < cfg.homophone_share else ()
             )
             if homophones:
                 emitted = homophones[int(rng.integers(0, len(homophones)))]
-                if counters is not None:
-                    counters.homophone_replacements += 1
+                counters.homophone_replacements += 1
             else:
                 n_tokens = max(1, len(tokenizer.encode(word)))
                 emitted = _random_word(rng, n_tokens, tokenizer, allowed)
-                if counters is not None:
-                    counters.random_replacements += 1
+                counters.random_replacements += 1
         if cfg.filler_prob > 0.0 and rng.random() < cfg.filler_prob:
             out.append(FILLER_LEXICON[int(rng.integers(0, len(FILLER_LEXICON)))])
-            if counters is not None:
-                counters.fillers += 1
+            counters.fillers += 1
         out.append(emitted)
     return out
 

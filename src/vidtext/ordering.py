@@ -30,18 +30,37 @@ CLASS_DIFFERENT = 3
 MAX_FRAMES = 16  # best_frame_ordering's subset table holds 2^n * n values
 
 
-def relation_class(caption_pos: int, frame_slot: int) -> int:
-    if caption_pos == frame_slot:
-        return CLASS_SAME
-    return CLASS_BEFORE if caption_pos < frame_slot else CLASS_AFTER
-
-
 def check_permutation(sigma: Sequence[int], n: int) -> tuple[int, ...]:
     """Validate a bijection over range(n) and return it as a tuple."""
     perm = tuple(int(s) for s in sigma)
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise ValueError(f"{sigma!r} is not a permutation of 0..{n - 1}")
     return perm
+
+
+def check_normalized(log_probs: np.ndarray) -> None:
+    """Require each (i, j) cell of an (n, n, classes) table to be a normalized
+    distribution, within 1e-6."""
+    if np.any(np.isnan(log_probs)) or np.any(log_probs == np.inf):
+        raise ValueError("log-probabilities must be < inf and not NaN")
+    mass = logsumexp(log_probs, axis=2)
+    worst = float(np.abs(mass).max())
+    if worst > 1e-6:
+        i, j = np.unravel_index(int(np.abs(mass).argmax()), mass.shape)
+        raise ValueError(
+            f"cell ({i}, {j}) is not normalized: logsumexp {mass[i, j]:.3g} "
+            "(tolerance 1e-06)"
+        )
+
+
+def _unflatten(n: int, flat: Sequence[float], classes: int) -> np.ndarray:
+    """The wire format of a table, row-major flattened n*n*classes, as an array."""
+    arr = np.asarray(list(flat), dtype=np.float64)
+    if arr.size != n * n * classes:
+        raise ValueError(
+            f"expected {n * n * classes} log-probabilities for n={n}, got {arr.size}"
+        )
+    return arr.reshape(n, n, classes)
 
 
 @dataclass(frozen=True)
@@ -61,27 +80,13 @@ class PairwiseRelationTable:
         return int(self.log_probs.shape[0])
 
     def validate(self) -> None:
-        """Require each (i, j) cell to be a normalized distribution, within 1e-6."""
-        if np.any(np.isnan(self.log_probs)) or np.any(self.log_probs == np.inf):
-            raise ValueError("log-probabilities must be < inf and not NaN")
-        mass = logsumexp(self.log_probs, axis=2)
-        worst = float(np.abs(mass).max())
-        if worst > 1e-6:
-            i, j = np.unravel_index(int(np.abs(mass).argmax()), mass.shape)
-            raise ValueError(
-                f"cell ({i}, {j}) is not normalized: logsumexp {mass[i, j]:.3g} "
-                "(tolerance 1e-06)"
-            )
+        """``check_normalized`` of the table."""
+        check_normalized(self.log_probs)
 
     @classmethod
     def from_flat(cls, n: int, flat: Sequence[float]) -> "PairwiseRelationTable":
         """Decode the wire format (row-major flattened n*n*4) and validate."""
-        arr = np.asarray(list(flat), dtype=np.float64)
-        if arr.size != n * n * 4:
-            raise ValueError(
-                f"expected {n * n * 4} log-probabilities for n={n}, got {arr.size}"
-            )
-        table = cls(arr.reshape(n, n, 4))
+        table = cls(_unflatten(n, flat, 4))
         table.validate()
         return table
 
@@ -161,6 +166,17 @@ def frame_order_score(two_way: np.ndarray, sigma: Sequence[int]) -> float:
     for i, j in itertools.permutations(range(lp.shape[0]), 2):
         total += lp[i, j, 0 if perm[i] < perm[j] else 1]
     return float(total)
+
+
+def two_way_from_flat(n: int, flat: Sequence[float]) -> np.ndarray:
+    """Decode a 2-way table's wire format (row-major flattened n*n*2), checked
+    like ``PairwiseRelationTable.from_flat``: at least one element, each cell
+    normalized."""
+    two_way = _unflatten(n, flat, 2)
+    if n < 1:
+        raise ValueError("table must cover at least one element")
+    check_normalized(two_way)
+    return two_way
 
 
 def _two_way_array(two_way: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ Input is line-delimited JSON, one video per line:
 is packed-example JSONL plus a manifest of per-stage counts and the config
 hash.  Records are processed by a pool whose results are consumed in input
 order, so worker count never changes a single output byte.  The decoders,
-the gate composition and the line driver defined here are shared by every
-streaming subcommand, so ``filter`` decides a line exactly as ``run`` does.
+the gate composition, the line driver and ``note_skip`` are shared by every
+streaming subcommand, so ``filter`` decides and reports a line as ``run`` does.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ Outcome = tuple[str, Any]  # (status, payload): a record, a reject reason or a m
 DATA_ERRORS = (ValueError, TypeError, KeyError, OverflowError, RecursionError)
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
-_worker_cfg: PipelineConfig | None = None
-_worker_tok = None
+_worker: tuple[PipelineConfig, Any] | None = None  # (config, tokenizer), pool workers only
 
 
 @dataclass
@@ -98,9 +97,9 @@ class RunManifest:
 
 
 def _init_worker(cfg_fields: dict[str, Any]) -> None:
-    global _worker_cfg, _worker_tok
-    _worker_cfg = PipelineConfig(**cfg_fields)
-    _worker_tok = load_tokenizer(_worker_cfg.tokenizer_path)
+    global _worker
+    cfg = PipelineConfig(**cfg_fields)
+    _worker = (cfg, load_tokenizer(cfg.tokenizer_path))
 
 
 def check_line(obj: Any) -> dict[str, Any]:
@@ -195,16 +194,17 @@ def process_video_line(
     """One video through decode, gates, and segmentation.
 
     Returns ("error", message), ("rejected", reason), or
-    ("accepted", VideoRecord).  Without an explicit config this reads the
-    pool-worker state set by `_init_worker`.
+    ("accepted", VideoRecord).  Without a config this uses ``PipelineConfig()``,
+    and without a tokenizer it loads the config's.
     """
-    cfg = config if config is not None else _worker_cfg
-    if cfg is None:
-        cfg = PipelineConfig()
-    tok = tokenizer if tokenizer is not None else _worker_tok
-    if tok is None:
-        tok = load_tokenizer(cfg.tokenizer_path)
+    cfg = config if config is not None else PipelineConfig()
+    tok = tokenizer if tokenizer is not None else load_tokenizer(cfg.tokenizer_path)
     return line_outcome(_video_outcome, raw, cfg, tok)
+
+
+def note_skip(lineno: int, message: str) -> None:
+    """The stderr note for a line skipped as a data error."""
+    print(f"line {lineno}: skipped ({message})", file=sys.stderr)
 
 
 def outcomes(
@@ -226,15 +226,15 @@ def outcomes(
 
 def _numbered_video_line(item: tuple[int, Any]) -> tuple[int, Outcome]:
     lineno, raw = item
-    return lineno, process_video_line(raw)
+    return lineno, process_video_line(raw, *_worker)
 
 
 def _result_stream(
     numbered: Iterator[tuple[int, Any]], cfg: PipelineConfig, jobs: int
 ) -> Iterator[tuple[int, Outcome]]:
     if jobs <= 1:
-        _init_worker(cfg.to_json())
-        yield from map(_numbered_video_line, numbered)
+        tok = load_tokenizer(cfg.tokenizer_path)
+        yield from ((lineno, process_video_line(raw, cfg, tok)) for lineno, raw in numbered)
         return
     with multiprocessing.Pool(
         processes=jobs, initializer=_init_worker, initargs=(cfg.to_json(),)
@@ -264,12 +264,16 @@ def run_pipeline(
     output_fp: IO[str],
     jobs: int = 1,
 ) -> RunManifest:
-    """Drive the full filter -> segment -> pack pipeline over JSONL streams."""
+    """Drive the full filter -> segment -> pack pipeline over JSONL streams.
+
+    Each data error gets a ``note_skip`` in input order; the manifest keeps
+    the first 10 messages."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     manifest = RunManifest(config=config.to_json(), config_sha256=config.sha256())
 
-    def sample(lineno: int, message: str) -> None:
+    def note(lineno: int, message: str) -> None:
+        note_skip(lineno, message)
         if len(manifest.error_samples) < 10:
             manifest.error_samples.append(message)
 
@@ -277,7 +281,7 @@ def run_pipeline(
     results = _result_stream(numbered_lines(input_fp), config, jobs)
 
     def accepted_records() -> Iterator[VideoRecord]:
-        for status, payload in outcomes(results, sample, tally):
+        for status, payload in outcomes(results, note, tally):
             if status == REJECTED:
                 manifest.rejected[payload] += 1
             else:
@@ -291,11 +295,3 @@ def run_pipeline(
     manifest.examples = stats.examples_out
     manifest.segments_dropped = stats.segments_dropped
     return manifest
-
-
-def print_errors(manifest: RunManifest, stream: IO[str] = sys.stderr) -> None:
-    for msg in manifest.error_samples:
-        print(f"skipped record: {msg}", file=stream)
-    extra = manifest.data_errors - len(manifest.error_samples)
-    if extra > 0:
-        print(f"... and {extra} more skipped records", file=stream)

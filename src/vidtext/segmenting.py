@@ -56,9 +56,7 @@ def sequence_shape(cfg: PipelineConfig = PipelineConfig()) -> SequenceShape:
     )
 
 
-def segment_transcript(
-    tokens: Sequence[TimedToken], l_max: int = 32, variant: str = "clean"
-) -> list[Segment]:
+def segment_transcript(tokens: Sequence[TimedToken], l_max: int = 32) -> list[Segment]:
     """Split a timed token stream into segments of at most ``l_max`` tokens;
     a word that starts before the previous word ends is a ``ValueError``."""
     if l_max < 1:
@@ -84,11 +82,11 @@ def segment_transcript(
                 f"segment limit is {l_max}"
             )
         if len(buf) + len(group) > l_max:
-            segments.append(Segment.from_tokens(buf, variant=variant))
+            segments.append(Segment.from_tokens(buf))
             buf = []
         buf.extend(group)
     if buf:
-        segments.append(Segment.from_tokens(buf, variant=variant))
+        segments.append(Segment.from_tokens(buf))
     return segments
 
 
@@ -113,27 +111,24 @@ def pack_examples(
     """
     if n_segments < 1:
         raise ValueError(f"n_segments must be at least 1, got {n_segments}")
+    stats = stats if stats is not None else PackStats()
     buf: list[Segment] = []
     provenance: list[tuple[str, int]] = []
     for record in stream:
         for idx, seg in enumerate(record.segments):
-            if stats is not None:
-                stats.segments_in += 1
+            stats.segments_in += 1
             buf.append(seg)
             provenance.append((record.video_id, idx))
             if len(buf) == n_segments:
                 yield PackedExample(segments=tuple(buf), provenance=tuple(provenance))
-                if stats is not None:
-                    stats.examples_out += 1
+                stats.examples_out += 1
                 buf = []
                 provenance = []
         if not cross_video and buf:
-            if stats is not None:
-                stats.segments_dropped += len(buf)
+            stats.segments_dropped += len(buf)
             buf = []
             provenance = []
-    if buf and stats is not None:
-        stats.segments_dropped += len(buf)
+    stats.segments_dropped += len(buf)
 
 
 def group_for_joint(example: PackedExample, group: int = 4) -> list[tuple[Segment, ...]]:

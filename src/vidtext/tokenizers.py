@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from .model import TimedToken, TimedWord
 
 
-@runtime_checkable
 class Tokenizer(Protocol):
     vocab_size: int
     special_ids: frozenset[int]

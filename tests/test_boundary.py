@@ -125,7 +125,7 @@ def test_filter_and_run_agree_and_manifest_conserves(cases):
         )
         rows = [json.loads(l) for l in verdicts.read_text().splitlines()]
         manifest_path = Path(tmp) / "manifest.json"
-        run_code, _ = _main(
+        run_code, run_err = _main(
             [
                 "run",
                 "--input",
@@ -139,6 +139,7 @@ def test_filter_and_run_agree_and_manifest_conserves(cases):
         counts = json.loads(manifest_path.read_text())["counts"]
 
     skipped = {int(n) for n in re.findall(r"^line (\d+): skipped", filter_err, re.M)}
+    assert {int(n) for n in re.findall(r"^line (\d+): skipped", run_err, re.M)} == skipped
     assert skipped <= {n for n, _, _ in numbered}
     assert len(rows) + len(skipped) == len(numbered)
     rows_left = iter(rows)

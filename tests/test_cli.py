@@ -564,6 +564,8 @@ def test_score_order_malformed_lines_are_data_errors(capsys, monkeypatch):
         (dict(good, log_probs=flat[:7] + [True]), "log_probs[7] must be a finite number"),
         (dict(good, log_probs=flat[:7] + [float("inf")]), "log_probs[7] must be a finite number"),
         (dict(good, log_probs="0.5"), "log_probs must be a list"),
+        (dict(good, n=0, log_probs=[]), "table must cover at least one element"),
+        (dict(good, log_probs=[0.0] * 8), "cell (0, 0) is not normalized"),
     ]
     for obj, message in cases:
         text = json.dumps(good) + "\n" + json.dumps(obj) + "\n"

@@ -31,7 +31,6 @@ from vidtext.ordering import (
     evaluate_story_set,
     frame_order_score,
     hungarian_match,
-    relation_class,
     score_permutation,
     spearman_positions,
     story_metrics,
@@ -72,9 +71,11 @@ TABLE_KINDS = st.sampled_from(("random", "equal", "rounded"))
 
 
 def test_relation_class_cases():
-    assert relation_class(2, 2) == CLASS_SAME
-    assert relation_class(1, 3) == CLASS_BEFORE
-    assert relation_class(3, 1) == CLASS_AFTER
+    # The oracle table of the identity order puts its mass on each cell's class.
+    classes = PairwiseRelationTable.oracle_from_order((0, 1, 2, 3)).log_probs.argmax(axis=2)
+    assert classes[2, 2] == CLASS_SAME
+    assert classes[1, 3] == CLASS_BEFORE
+    assert classes[3, 1] == CLASS_AFTER
     assert CLASS_DIFFERENT == 3
 
 
@@ -89,10 +90,7 @@ def test_score_matches_cell_sum():
     rng = np.random.default_rng(0)
     table = random_table(rng, 4)
     sigma = (2, 0, 3, 1)
-    total = 0.0
-    for i in range(4):
-        for j in range(4):
-            total += table.log_probs[i, j, relation_class(i, sigma[j])]
+    total = relation_table_score(table.log_probs, sigma)
     assert score_permutation(table, sigma) == pytest.approx(total, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 from vidtext.config import PipelineConfig
 from vidtext.model import example_from_json, validate_example
@@ -163,8 +164,19 @@ def test_worker_pool_matches_inline(data_dir):
     assert m1.to_json() == m2.to_json()
 
 
-def test_error_samples_capped():
+def test_run_pipeline_leaves_no_config_behind():
+    long_video = video_line(duration_s=1500.0)
+    run_to_strings(PipelineConfig(max_duration_s=5000.0), "", jobs=1)
+    assert process_video_line(long_video) == ("rejected", "too_long")
+
+
+def test_error_samples_capped(capsys):
     text = "\n".join(["{bad"] * 25)
-    manifest, _ = run_to_strings(PipelineConfig(), text)
-    assert manifest.data_errors == 25
-    assert len(manifest.error_samples) == 10
+    for jobs in (1, 2):  # at --jobs 2 the 25 lines go out in four chunks to two workers
+        manifest, _ = run_to_strings(PipelineConfig(), text, jobs=jobs)
+        assert manifest.data_errors == 25
+        assert len(manifest.error_samples) == 10
+        # Every data error is noted on stderr in input order, not only the 10 kept.
+        err = capsys.readouterr().err
+        notes = re.findall(r"^line (\d+): skipped \(JSONDecodeError: ", err, re.M)
+        assert notes == [str(k) for k in range(1, 26)], err
