@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from contextlib import ExitStack, nullcontext
 from collections import Counter
@@ -51,7 +50,7 @@ from .pipeline import (
     DATA_ERRORS,
     ERROR,
     apply_gates,
-    check_line,
+    decode_line,
     decode_record,
     decode_video,
     line_outcome,
@@ -70,19 +69,18 @@ def _accept(obj: Any, handle: Callable[[Any], Any]) -> tuple[str, Any]:
     return ACCEPTED, handle(obj)
 
 
-def _handled(fin: IO, handle: Callable[[Any], Any]) -> Iterator[tuple[int, Any]]:
-    """Numbered outcomes of ``handle`` per input line; every handled line is accepted."""
-    for lineno, raw in numbered_lines(fin):
-        yield lineno, line_outcome(_accept, raw, handle)
+def _write_objects(fout: IO[str], objs: Iterator[dict[str, Any]]) -> None:
+    write_jsonl(fout, ({**obj, "schema_version": SCHEMA_VERSION} for obj in objs))
 
 
-def _stream(args, handle: Callable[[Any], dict[str, Any]]) -> int:
-    """Write ``handle``'s output object per input line; skip data errors."""
+def _stream(args, handle: Callable[[Any], Any], write=_write_objects) -> int:
+    """``write(fout, results)`` with ``handle``'s result for each input line
+    that ``decode_line`` accepts; data errors are noted and skipped."""
     tally: Counter = Counter()
     with ExitStack() as stack:
         fin, fout = _open_streams(args, stack)
-        results = outcomes(_handled(fin, handle), note_skip, tally)
-        write_jsonl(fout, ({**r, "schema_version": SCHEMA_VERSION} for _, r in results))
+        numbered = ((n, line_outcome(_accept, raw, handle)) for n, raw in numbered_lines(fin))
+        write(fout, (r for _, r in outcomes(numbered, note_skip, tally)))
     return 1 if tally[ERROR] else 0
 
 
@@ -161,7 +159,7 @@ def _cmd_filter(args) -> int:
 
 def _cmd_align(args) -> int:
     def handle(obj: Any) -> dict[str, Any]:
-        noisy = list_field(check_line(obj), "noisy", word_from_json)
+        noisy = list_field(obj, "noisy", word_from_json)
         clean = typed_list(obj, "clean", str)
         alignment, timed = align_and_time(noisy, clean)
         return {
@@ -185,7 +183,7 @@ def _cmd_corrupt(args) -> int:
     tokenizer = load_tokenizer(cfg.tokenizer_path)
 
     def handle(obj: Any) -> dict[str, Any]:
-        doc_id = typed_field(check_line(obj), "doc_id", str)
+        doc_id = typed_field(obj, "doc_id", str)
         texts = typed_list(obj, "words", str)
         words = corrupt_document(texts, cfg, derive_seed(cfg.seed, doc_id), table, tokenizer)
         return {"doc_id": doc_id, "words": words}
@@ -215,20 +213,18 @@ def _cmd_segment(args) -> int:
 
 def _cmd_pack(args) -> int:
     cfg = _config_from_args(args)
-    with ExitStack() as stack:
-        fin, fout = _open_streams(args, stack)
-        tally: Counter = Counter()
-        records = outcomes(_handled(fin, decode_record), note_skip, tally)
-        stats = write_examples((record for _, record in records), cfg, fout)
-        _write_report(args.stats, dataclasses.asdict(stats))
-        return 1 if tally[ERROR] else 0
+
+    def write(fout: IO[str], records: Iterator[Any]) -> None:
+        _write_report(args.stats, dataclasses.asdict(write_examples(records, cfg, fout)))
+
+    return _stream(args, decode_record, write)
 
 
 def _cmd_mask(args) -> int:
     cfg = _config_from_args(args)
 
     def handle(obj: Any) -> dict[str, Any]:
-        seq_id = typed_field(check_line(obj), "sequence_id", str)
+        seq_id = typed_field(obj, "sequence_id", str)
         tokens = typed_list(obj, "tokens", int)
         specials = typed_list(obj, "special_positions", int) if "special_positions" in obj else []
         profile = AttentionProfile(
@@ -299,28 +295,31 @@ def _cmd_loss(args) -> int:
 
 def _cmd_score_order(args) -> int:
     def handle(obj: Any) -> dict[str, Any]:
-        n = typed_field(check_line(obj), "n", int)
+        n = typed_field(obj, "n", int)
         classes = typed_field(obj, "classes", int) if "classes" in obj else 4
         flat = typed_list(obj, "log_probs", float)
-        if classes == 4:
-            perm, score = best_ordering(PairwiseRelationTable.from_flat(n, flat))
-        elif classes == 2:
-            perm, score = best_frame_ordering(two_way_from_flat(n, flat))
-        else:
-            raise ValueError(f"classes must be 2 or 4, got {classes}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a -inf score is checked below
+            if classes == 4:
+                perm, score = best_ordering(PairwiseRelationTable.from_flat(n, flat))
+            elif classes == 2:
+                perm, score = best_frame_ordering(two_way_from_flat(n, flat))
+            else:
+                raise ValueError(f"classes must be 2 or 4, got {classes}")
+        if not np.isfinite(score):  # JSON has no -Infinity
+            raise ValueError(f"best score {score} is not finite")
         return {"permutation": list(perm), "score": score}
 
     return _stream(args, handle)
 
 
 def _read_objects(path: str, decode: Callable[[dict[str, Any]], Any]) -> list:
-    """``decode`` of every line of a JSONL file; a malformed line is fatal,
-    and its error names the file and the line."""
+    """``decode(decode_line(line))`` for every line of a JSONL file; a malformed
+    line is fatal, and its error names the file and the line."""
     out = []
     with open(path, "rb") as fp:
         for lineno, raw in numbered_lines(fp):
             try:
-                out.append(decode(check_line(json.loads(raw))))
+                out.append(decode(decode_line(raw)))
             except DATA_ERRORS as e:
                 raise ValueError(f"{path} line {lineno}: {e}") from None
     return out
@@ -342,7 +341,7 @@ def _cmd_eval_story(args) -> int:
 
 def _cmd_shape(args) -> int:
     shape = sequence_shape(_config_from_args(args))
-    print(dump_line({"schema_version": SCHEMA_VERSION, **shape.to_json()}))
+    print(dump_line({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(shape)}))
     return 0
 
 

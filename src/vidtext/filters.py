@@ -35,26 +35,18 @@ _THUMBNAILS = 4
 
 @dataclass(frozen=True)
 class FilterDecision:
-    verdict: str
-    reason: str
-
-    def __post_init__(self) -> None:
-        if self.verdict not in (VERDICT_ACCEPT, VERDICT_REJECT):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        ok_reasons = (REASON_PASSED,) + REJECT_REASONS
-        if self.reason not in ok_reasons:
-            raise ValueError(f"unknown reason {self.reason!r}")
-        if (self.verdict == VERDICT_ACCEPT) != (self.reason == REASON_PASSED):
-            raise ValueError(
-                f"verdict {self.verdict} inconsistent with reason {self.reason}"
-            )
+    reason: str  # REASON_PASSED or one of REJECT_REASONS
 
     @property
     def accepted(self) -> bool:
-        return self.verdict == VERDICT_ACCEPT
+        return self.reason == REASON_PASSED
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_ACCEPT if self.accepted else VERDICT_REJECT
 
 
-_ACCEPT = FilterDecision(VERDICT_ACCEPT, REASON_PASSED)
+_ACCEPT = FilterDecision(REASON_PASSED)
 
 
 @dataclass(frozen=True)
@@ -91,11 +83,11 @@ def metadata_gate(meta, max_duration_s: float = 1200.0) -> FilterDecision:
     ``category`` attributes, a ``VideoRecord`` in particular.
     """
     if not meta.has_english_asr:
-        return FilterDecision(VERDICT_REJECT, REASON_NO_ASR)
+        return FilterDecision(REASON_NO_ASR)
     if meta.duration_s > max_duration_s:
-        return FilterDecision(VERDICT_REJECT, REASON_TOO_LONG)
+        return FilterDecision(REASON_TOO_LONG)
     if str(meta.category).strip().lower() == "gaming":
-        return FilterDecision(VERDICT_REJECT, REASON_GAMING)
+        return FilterDecision(REASON_GAMING)
     return _ACCEPT
 
 
@@ -133,7 +125,7 @@ def thumbnail_gate(
     else:
         count = int(hits.sum())
     if count < min_objects:
-        return FilterDecision(VERDICT_REJECT, REASON_TOO_FEW_OBJECTS)
+        return FilterDecision(REASON_TOO_FEW_OBJECTS)
     if mean_pairwise_cosine(ev.features) > sim_threshold:
-        return FilterDecision(VERDICT_REJECT, REASON_STATIC_VISUALS)
+        return FilterDecision(REASON_STATIC_VISUALS)
     return _ACCEPT

@@ -96,19 +96,12 @@ class Segment:
         return self.tokens[-1].end_s
 
     @classmethod
-    def from_tokens(
-        cls,
-        tokens: Iterable[TimedToken],
-        variant: str = VARIANT_CLEAN,
-        frame_time_s: float | None = None,
-    ) -> "Segment":
-        """Build a segment, defaulting the frame time to the span midpoint."""
+    def from_tokens(cls, tokens: Iterable[TimedToken], variant: str = VARIANT_CLEAN) -> "Segment":
+        """Build a segment whose frame time is the midpoint of its span."""
         toks = tuple(tokens)
         if not toks:
             raise ValueError("segment must contain at least one token")
-        if frame_time_s is None:
-            frame_time_s = (toks[0].start_s + toks[-1].end_s) / 2.0
-        return cls(tokens=toks, frame_time_s=frame_time_s, variant=variant)
+        return cls(toks, (toks[0].start_s + toks[-1].end_s) / 2.0, variant)
 
 
 @dataclass(frozen=True)
@@ -443,7 +436,3 @@ def numbered_lines(fp: IO) -> Iterator[tuple[int, Any]]:
         line = line.strip()
         if line:
             yield lineno, line
-
-
-def read_jsonl(fp: IO[str]) -> Iterator[dict[str, Any]]:
-    return (json.loads(line) for _, line in numbered_lines(fp))

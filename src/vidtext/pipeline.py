@@ -9,8 +9,9 @@ Input is line-delimited JSON, one video per line:
 ``thumbnails`` is optional; without it only the metadata gates run.  Output
 is packed-example JSONL plus a manifest of per-stage counts and the config
 hash.  Records are processed by a pool whose results are consumed in input
-order, so worker count never changes a single output byte.  The decoders,
-the gate composition, the line driver and ``note_skip`` are shared by every
+order, so worker count never changes a single output byte.  ``decode_line``
+applies the line rules of every reader; it, the decoders, the gate
+composition, the line driver and ``note_skip`` are shared by every
 streaming subcommand, so ``filter`` decides and reports a line as ``run`` does.
 """
 
@@ -96,14 +97,22 @@ class RunManifest:
         }
 
 
-def _init_worker(cfg_fields: dict[str, Any]) -> None:
+def _init_worker(cfg: PipelineConfig) -> None:
     global _worker
-    cfg = PipelineConfig(**cfg_fields)
     _worker = (cfg, load_tokenizer(cfg.tokenizer_path))
 
 
-def check_line(obj: Any) -> dict[str, Any]:
-    """A parsed line, checked to be an object of the supported schema version."""
+def decode_line(raw: str | bytes) -> dict[str, Any]:
+    """One input line as a JSON object of the supported schema version.
+
+    A byte line must be UTF-8, optionally after a BOM, and no string in the
+    line may hold a lone surrogate such as the escape ``"\\ud800"``: it does
+    not encode back to UTF-8.  Any failure raises one of ``DATA_ERRORS``.
+    """
+    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
+    obj = json.loads(text)
+    if _SURROGATE_ESCAPE.search(text):  # only an escape puts a surrogate in UTF-8
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
     if not isinstance(obj, dict):
         raise ValueError("line must hold a JSON object")
     version = obj.get("schema_version", SCHEMA_VERSION)
@@ -112,20 +121,20 @@ def check_line(obj: Any) -> dict[str, Any]:
     return obj
 
 
-def decode_video(obj: Any) -> tuple[VideoRecord, list[TimedWord]]:
+def decode_video(obj: dict[str, Any]) -> tuple[VideoRecord, list[TimedWord]]:
     """A raw video line as its metadata (no segments) and its timed words."""
-    meta = metadata_from_json(check_line(obj))
+    meta = metadata_from_json(obj)
     words = list_field(obj, "words", word_from_json) if "words" in obj else []
     return meta, words
 
 
-def decode_record(obj: Any) -> VideoRecord:
+def decode_record(obj: dict[str, Any]) -> VideoRecord:
     """A segmented video record (``segment`` output, ``pack`` input), validated.
 
     The token cap per segment is chosen when ``segment`` runs, so any
     segment length passes here; every other invariant is checked.
     """
-    record = record_from_json(check_line(obj))
+    record = record_from_json(obj)
     violations = validate_record(record, l_max=sys.maxsize)
     if violations:
         raise ValueError(f"invalid record: {'; '.join(str(v) for v in violations[:3])}")
@@ -167,20 +176,14 @@ def segment_video(
 
 
 def line_outcome(handle: Callable[..., Outcome], raw: str | bytes, *args) -> Outcome:
-    """``handle(json.loads(raw), *args)``, or ("error", message) on a data error,
-    which a line also is when it is not UTF-8 or a string in it does not encode
-    back to UTF-8, as with the lone surrogate escape ``"\\ud800"``."""
+    """``handle(decode_line(raw), *args)``, or ("error", message) on a data error."""
     try:
-        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
-        obj = json.loads(text)
-        if _SURROGATE_ESCAPE.search(text):  # only an escape puts a surrogate in UTF-8
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        return handle(obj, *args)
+        return handle(decode_line(raw), *args)
     except DATA_ERRORS as e:
         return ERROR, f"{type(e).__name__}: {e}"
 
 
-def _video_outcome(obj: Any, cfg: PipelineConfig, tokenizer) -> Outcome:
+def _video_outcome(obj: dict[str, Any], cfg: PipelineConfig, tokenizer) -> Outcome:
     meta, words = decode_video(obj)
     decision = apply_gates(meta, obj, cfg)
     if not decision.accepted:
@@ -237,7 +240,7 @@ def _result_stream(
         yield from ((lineno, process_video_line(raw, cfg, tok)) for lineno, raw in numbered)
         return
     with multiprocessing.Pool(
-        processes=jobs, initializer=_init_worker, initargs=(cfg.to_json(),)
+        processes=jobs, initializer=_init_worker, initargs=(cfg,)
     ) as pool:
         yield from pool.imap(_numbered_video_line, numbered, chunksize=_CHUNKSIZE)
 

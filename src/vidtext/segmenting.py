@@ -11,7 +11,9 @@ fixed-size blocks; the trailing remainder is dropped, never padded.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from .config import PipelineConfig
@@ -28,14 +30,6 @@ class SequenceShape:
     visual_tokens_per_frame: int
     joint_sequence_length: int
     language_only_length: int
-
-    def to_json(self) -> dict[str, int]:
-        return {
-            "cells_per_frame": self.cells_per_frame,
-            "visual_tokens_per_frame": self.visual_tokens_per_frame,
-            "joint_sequence_length": self.joint_sequence_length,
-            "language_only_length": self.language_only_length,
-        }
 
 
 def sequence_shape(cfg: PipelineConfig = PipelineConfig()) -> SequenceShape:
@@ -62,17 +56,13 @@ def segment_transcript(tokens: Sequence[TimedToken], l_max: int = 32) -> list[Se
     if l_max < 1:
         raise ValueError(f"l_max must be at least 1, got {l_max}")
     # Group the stream by word so boundaries never split a word.
-    words: list[list[TimedToken]] = []
-    for tok in tokens:
-        if words and words[-1][0].word_index == tok.word_index:
-            words[-1].append(tok)
-        elif words and tok.start_s < words[-1][-1].end_s:
+    words = [list(g) for _, g in itertools.groupby(tokens, key=attrgetter("word_index"))]
+    for prev, word in zip(words, words[1:]):
+        if word[0].start_s < prev[-1].end_s:
             raise ValueError(
-                f"word {tok.word_index} starts at {tok.start_s} before the previous "
-                f"word ends at {words[-1][-1].end_s}"
+                f"word {word[0].word_index} starts at {word[0].start_s} before the "
+                f"previous word ends at {prev[-1].end_s}"
             )
-        else:
-            words.append([tok])
     segments: list[Segment] = []
     buf: list[TimedToken] = []
     for group in words:

@@ -9,6 +9,7 @@ import-time crash.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,12 +38,7 @@ def _check_shape(patch: int) -> CheckResult:
         shape = sequence_shape(PipelineConfig(patch=patch))
     except ValueError as e:
         return CheckResult(name, False, str(e))
-    got = (
-        shape.cells_per_frame,
-        shape.visual_tokens_per_frame,
-        shape.joint_sequence_length,
-        shape.language_only_length,
-    )
+    got = dataclasses.astuple(shape)
     if patch == 16 and got != _EXPECTED_DEFAULT_SHAPE:
         return CheckResult(
             name, False, f"default shape {got}, expected {_EXPECTED_DEFAULT_SHAPE}"
@@ -64,27 +60,23 @@ def _check_contrastive_gradients(tau: float, trials: int = 3) -> CheckResult:
             report = contrastive_loss(frames, captions, tau=tau, want_grads=True)
         except ValueError as e:
             return CheckResult(name, False, str(e))
-        for key, mat in (("frames", frames), ("captions", captions)):
-            grad = report.gradients[key]
-            for r in range(b):
-                for c in range(d):
-                    bump = np.zeros_like(mat)
-                    bump[r, c] = h
-                    up = contrastive_loss(
-                        mat + bump if key == "frames" else frames,
-                        captions if key == "frames" else mat + bump,
-                        tau=tau,
-                        norm_tol=1e-3,
-                    ).value
-                    down = contrastive_loss(
-                        mat - bump if key == "frames" else frames,
-                        captions if key == "frames" else mat - bump,
-                        tau=tau,
-                        norm_tol=1e-3,
-                    ).value
-                    fd = (up - down) / (2 * h)
-                    denom = max(abs(fd), abs(grad[r, c]), 1e-8)
-                    worst = max(worst, abs(fd - grad[r, c]) / denom)
+
+        def frames_loss(f: np.ndarray) -> float:
+            return contrastive_loss(f, captions, tau=tau, norm_tol=1e-3).value
+
+        def captions_loss(c: np.ndarray) -> float:
+            return contrastive_loss(frames, c, tau=tau, norm_tol=1e-3).value
+
+        for mat, grad, loss in (
+            (frames, report.gradients["frames"], frames_loss),
+            (captions, report.gradients["captions"], captions_loss),
+        ):
+            for cell in np.ndindex(mat.shape):
+                bump = np.zeros_like(mat)
+                bump[cell] = h
+                fd = (loss(mat + bump) - loss(mat - bump)) / (2 * h)
+                denom = max(abs(fd), abs(grad[cell]), 1e-8)
+                worst = max(worst, abs(fd - grad[cell]) / denom)
     if worst > 1e-4:
         return CheckResult(name, False, f"worst relative gradient error {worst:.3g}")
     return CheckResult(name, True, f"worst relative gradient error {worst:.3g}")

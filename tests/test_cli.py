@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -566,13 +567,18 @@ def test_score_order_malformed_lines_are_data_errors(capsys, monkeypatch):
         (dict(good, log_probs="0.5"), "log_probs must be a list"),
         (dict(good, n=0, log_probs=[]), "table must cover at least one element"),
         (dict(good, log_probs=[0.0] * 8), "cell (0, 0) is not normalized"),
+        # Normalized cells whose sums overflow: JSON has no -Infinity.
+        (dict(good, n=3, log_probs=[0.0, -1.7e308] * 9), "best score -inf is not finite"),
+        (dict(n=2, log_probs=[0.0, -1.7e308, -1.7e308, -1.7e308] * 4), "best score -inf"),
     ]
     for obj, message in cases:
         text = json.dumps(good) + "\n" + json.dumps(obj) + "\n"
-        code, out, err = run_cli(capsys, ["score-order"], text, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be more stderr
+            code, out, err = run_cli(capsys, ["score-order"], text, monkeypatch)
         assert code == 1, obj
-        assert "line 2: skipped" in err and message in err, err
-        assert "Traceback" not in err
+        assert err.startswith("line 2: skipped") and err.count("\n") == 1, err
+        assert message in err, err
         assert [json.loads(line)["permutation"] for line in out.splitlines()] == [[0, 1]]
 
 
@@ -696,3 +702,70 @@ def test_pack_takes_segments_longer_than_the_default_cap(capsys, monkeypatch):
     assert code == 0 and "skipped" not in err
     rows = [json.loads(l) for l in packed.splitlines()]
     assert [len(row["segments"][0]["tokens"]) for row in rows] == lengths
+
+
+SEGMENT_RECORD = {
+    "video_id": "v",
+    "duration_s": 5.0,
+    "category": "c",
+    "has_english_asr": True,
+    "segments": [
+        {
+            "tokens": [{"id": 1, "word_index": 0, "start_s": 0.0, "end_s": 1.0}],
+            "frame_time_s": 0.5,
+            "variant": "clean",
+        }
+    ],
+}
+LINE_READERS = {
+    "filter": (["filter"], video_obj()),
+    "align": (["align"], {"noisy": [{"text": "a", "start_s": 0, "end_s": 1}], "clean": ["a"]}),
+    "corrupt": (["corrupt"], CORRUPT_GOOD),
+    "segment": (["segment"], video_obj()),
+    "pack": (["pack", "--segments-per-example", "1"], SEGMENT_RECORD),
+    "mask": (MASK_ARGV, MASK_GOOD),
+    "score-order": (["score-order"], {"n": 2, "classes": 2, "log_probs": [math.log(0.5)] * 8}),
+    "run": (["run"], video_obj()),
+    "eval-story": (["eval-story"], {"n": 1, "log_probs": [math.log(0.25)] * 4}),
+}
+
+
+def envelope_faults(good: dict) -> list[tuple[bytes, str]]:
+    """``good`` spoiled by each fault of the line envelope, with a part of its message."""
+    escaped = json.dumps(dict(good, note="\ud800")).encode()  # holds the escape "\\ud800"
+    cesu = "\ud800".encode("utf-8", "surrogatepass")
+    return [
+        (escaped.replace(b"\\ud800", b"\xff"), "can't decode byte 0xff"),
+        (escaped, "surrogates not allowed"),
+        (escaped.replace(b"\\ud800", cesu), "can't decode byte 0xed"),
+        (b"[1,2]", "line must hold a JSON object"),
+        (json.dumps(dict(good, schema_version=1)).encode(), "unsupported schema_version 1"),
+    ]
+
+
+@pytest.mark.parametrize("command", list(LINE_READERS))
+def test_every_line_reader_decodes_the_envelope_alike(capsys, tmp_path, command):
+    argv, good = LINE_READERS[command]
+    src, truths = tmp_path / "in.jsonl", tmp_path / "truths.jsonl"
+    truths.write_text(json.dumps({"order": [0]}) + "\n")
+    if command == "eval-story":
+        argv = [*argv, "--truths", str(truths), "--tables", str(src)]
+    else:
+        argv = [*argv, "--input", str(src)]
+
+    def read(line: bytes) -> tuple[int, str, str]:
+        src.write_bytes(line + b"\n")
+        return run_cli(capsys, argv)
+
+    plain = json.dumps(good).encode()
+    assert read(plain)[0] == 0
+    assert read(b"\xef\xbb\xbf" + plain) == read(plain)  # a BOM is allowed
+    for line, message in envelope_faults(good):
+        code, out, err = read(line)
+        assert out == "", line
+        assert "Traceback" not in err
+        if command == "eval-story":
+            assert code == 2 and err.startswith(f"error: {src} line 1: "), err
+        else:
+            assert code == 1 and "line 1: skipped (" in err, err
+        assert message in err, err

@@ -14,7 +14,6 @@ from vidtext.model import (
     dump_line,
     example_from_json,
     example_to_json,
-    read_jsonl,
     record_from_json,
     record_to_json,
     round_ms,
@@ -134,7 +133,7 @@ def test_jsonl_round_trip(tmp_path):
     with open(path, "w", encoding="utf-8") as fp:
         write_jsonl(fp, (record_to_json(r) for r in records))
     with open(path, encoding="utf-8") as fp:
-        loaded = [record_from_json(obj) for obj in read_jsonl(fp)]
+        loaded = [record_from_json(json.loads(line)) for line in fp]
     assert loaded == records
 
 
