@@ -12,7 +12,6 @@ errors, 2 fatal (bad usage, unreadable files, invalid config).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from contextlib import ExitStack, nullcontext
 from collections import Counter
@@ -43,7 +42,7 @@ from .ordering import (
     best_frame_ordering,
     best_ordering,
     evaluate_story_set,
-    two_way_from_flat,
+    table_from_flat,
 )
 from .pipeline import (
     ACCEPTED,
@@ -162,13 +161,7 @@ def _cmd_align(args) -> int:
         noisy = list_field(obj, "noisy", word_from_json)
         clean = typed_list(obj, "clean", str)
         alignment, timed = align_and_time(noisy, clean)
-        return {
-            "pairs": [[a, b] for a, b in alignment.pairs],
-            "total_cost": alignment.total_cost,
-            "clean_words": [
-                {"text": w.text, "start_s": w.start_s, "end_s": w.end_s} for w in timed
-            ],
-        }
+        return {**vars(alignment), "clean_words": timed}
 
     return _stream(args, handle)
 
@@ -215,7 +208,7 @@ def _cmd_pack(args) -> int:
     cfg = _config_from_args(args)
 
     def write(fout: IO[str], records: Iterator[Any]) -> None:
-        _write_report(args.stats, dataclasses.asdict(write_examples(records, cfg, fout)))
+        _write_report(args.stats, write_examples(records, cfg, fout))
 
     return _stream(args, decode_record, write)
 
@@ -293,21 +286,27 @@ def _cmd_loss(args) -> int:
     return 0
 
 
+def _table_from_json(obj: dict[str, Any], kinds: tuple[int, ...] = (2, 4)) -> tuple[int, Any]:
+    """A relation-table line as (classes, table): a ``PairwiseRelationTable`` of
+    4 classes, the default, or an (n, n, 2) array; ``kinds`` names the allowed."""
+    n = typed_field(obj, "n", int)
+    classes = typed_field(obj, "classes", int) if "classes" in obj else 4
+    flat = typed_list(obj, "log_probs", float)
+    if classes not in kinds:
+        raise ValueError(f"classes must be {' or '.join(map(str, kinds))}, got {classes}")
+    if classes == 4:
+        return 4, PairwiseRelationTable.from_flat(n, flat)
+    return 2, table_from_flat(n, flat, 2)
+
+
 def _cmd_score_order(args) -> int:
     def handle(obj: Any) -> dict[str, Any]:
-        n = typed_field(obj, "n", int)
-        classes = typed_field(obj, "classes", int) if "classes" in obj else 4
-        flat = typed_list(obj, "log_probs", float)
         with np.errstate(over="ignore", invalid="ignore"):  # a -inf score is checked below
-            if classes == 4:
-                perm, score = best_ordering(PairwiseRelationTable.from_flat(n, flat))
-            elif classes == 2:
-                perm, score = best_frame_ordering(two_way_from_flat(n, flat))
-            else:
-                raise ValueError(f"classes must be 2 or 4, got {classes}")
+            classes, table = _table_from_json(obj)
+            perm, score = (best_ordering if classes == 4 else best_frame_ordering)(table)
         if not np.isfinite(score):  # JSON has no -Infinity
             raise ValueError(f"best score {score} is not finite")
-        return {"permutation": list(perm), "score": score}
+        return {"permutation": perm, "score": score}
 
     return _stream(args, handle)
 
@@ -325,23 +324,17 @@ def _read_objects(path: str, decode: Callable[[dict[str, Any]], Any]) -> list:
     return out
 
 
-def _table_from_json(obj: dict[str, Any]) -> PairwiseRelationTable:
-    return PairwiseRelationTable.from_flat(
-        typed_field(obj, "n", int), typed_list(obj, "log_probs", float)
-    )
-
-
 def _cmd_eval_story(args) -> int:
-    tables = _read_objects(args.tables, _table_from_json)
+    tables = _read_objects(args.tables, lambda obj: _table_from_json(obj, (4,))[1])
     truths = _read_objects(args.truths, lambda obj: typed_list(obj, "order", int))
     report = evaluate_story_set(tables, truths, footrule=args.footrule)
-    print(dump_line({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report)}))
+    print(dump_line({"schema_version": SCHEMA_VERSION, **vars(report)}))
     return 0
 
 
 def _cmd_shape(args) -> int:
     shape = sequence_shape(_config_from_args(args))
-    print(dump_line({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(shape)}))
+    print(dump_line({"schema_version": SCHEMA_VERSION, **vars(shape)}))
     return 0
 
 

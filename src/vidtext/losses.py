@@ -234,11 +234,16 @@ def _check_pair(h_i, h_j, params: OrderHeadParams) -> np.ndarray:
     return x
 
 
+def _forward(x: np.ndarray, params: OrderHeadParams) -> tuple[np.ndarray, ...]:
+    """(pre-activation, hidden, logits) of the head on a checked pair ``x``."""
+    pre = params.w1 @ x + params.b1
+    hidden = _ACTIVATIONS[params.activation][0](pre)
+    return pre, hidden, params.w2 @ hidden + params.b2
+
+
 def order_logits(h_i, h_j, params: OrderHeadParams) -> np.ndarray:
     """Class logits for one ordered pair of hidden states."""
-    x = _check_pair(h_i, h_j, params)
-    act, _ = _ACTIVATIONS[params.activation]
-    return params.w2 @ act(params.w1 @ x + params.b1) + params.b2
+    return _forward(_check_pair(h_i, h_j, params), params)[2]
 
 
 def order_pair_loss(
@@ -253,17 +258,14 @@ def order_pair_loss(
         raise ValueError(
             f"true_class {true_class} outside the {params.n_classes}-class head"
         )
-    act, act_grad = _ACTIVATIONS[params.activation]
-    pre = params.w1 @ x + params.b1
-    hidden = act(pre)
-    logits = params.w2 @ hidden + params.b2
+    pre, hidden, logits = _forward(x, params)
     value = float(logsumexp(logits) - logits[true_class])
     grads = None
     if want_grads:
         d_logits = np.exp(logits - logsumexp(logits))
         d_logits[true_class] -= 1.0
         d_hidden = params.w2.T @ d_logits
-        d_pre = d_hidden * act_grad(pre)
+        d_pre = d_hidden * _ACTIVATIONS[params.activation][1](pre)
         d_x = params.w1.T @ d_pre
         half = x.shape[0] // 2
         grads = {

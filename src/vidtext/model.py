@@ -5,7 +5,8 @@ precision: constructors round to 1 ms and all comparisons made by the
 validators happen on those rounded values, so serialization round-trips
 are exact.
 
-The line format (one JSON object per line, ``schema_version`` "1"):
+The line format (one JSON object per line, ``schema_version`` "1" first) is
+each record's fields in declaration order, as ``dump_line`` writes them:
 
 * video record: ``video_id``, ``duration_s``, ``category``,
   ``has_english_asr``, ``segments``
@@ -322,15 +323,6 @@ def list_field(obj: dict[str, Any], key: str, decode: Callable) -> list:
     return out
 
 
-def token_to_json(tok: TimedToken) -> dict[str, Any]:
-    return {
-        "id": tok.id,
-        "word_index": tok.word_index,
-        "start_s": tok.start_s,
-        "end_s": tok.end_s,
-    }
-
-
 def token_from_json(obj: dict[str, Any]) -> TimedToken:
     return TimedToken(
         id=typed_field(obj, "id", int),
@@ -348,14 +340,6 @@ def word_from_json(obj: dict[str, Any]) -> TimedWord:
     )
 
 
-def segment_to_json(seg: Segment) -> dict[str, Any]:
-    return {
-        "tokens": [token_to_json(t) for t in seg.tokens],
-        "frame_time_s": seg.frame_time_s,
-        "variant": seg.variant,
-    }
-
-
 def segment_from_json(obj: dict[str, Any]) -> Segment:
     return Segment(
         tokens=list_field(obj, "tokens", token_from_json),
@@ -365,14 +349,8 @@ def segment_from_json(obj: dict[str, Any]) -> Segment:
 
 
 def record_to_json(record: VideoRecord) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "video_id": record.video_id,
-        "duration_s": record.duration_s,
-        "category": record.category,
-        "has_english_asr": record.has_english_asr,
-        "segments": [segment_to_json(s) for s in record.segments],
-    }
+    """The line of a record, for ``dump_line``."""
+    return {"schema_version": SCHEMA_VERSION, **vars(record)}
 
 
 def metadata_from_json(obj: dict[str, Any]) -> VideoRecord:
@@ -395,11 +373,8 @@ def record_from_json(obj: dict[str, Any]) -> VideoRecord:
 
 
 def example_to_json(example: PackedExample) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "segments": [segment_to_json(s) for s in example.segments],
-        "provenance": [[v, i] for v, i in example.provenance],
-    }
+    """The line of a packed example, for ``dump_line``."""
+    return {"schema_version": SCHEMA_VERSION, **vars(example)}
 
 
 def _provenance_item(item: Any, where: str) -> tuple[str, int]:
@@ -416,18 +391,26 @@ def example_from_json(obj: dict[str, Any]) -> PackedExample:
     )
 
 
-def dump_line(obj: dict[str, Any]) -> str:
-    """Canonical one-line JSON used everywhere a file must be reproducible."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+def _fields(obj: Any) -> dict[str, Any]:
+    """A record's fields, in the declaration order its constructor sets them in."""
+    if hasattr(type(obj), "__dataclass_fields__"):
+        return vars(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def write_jsonl(fp: IO[str], objs: Iterable[dict[str, Any]]) -> int:
-    n = 0
+def dump_line(obj: Any) -> str:
+    """Canonical one-line JSON used everywhere a file must be reproducible: a record
+    (a dataclass instance) as its fields, a tuple as a list.  Records are frozen
+    trees, so the cycle check is off."""
+    return json.dumps(
+        obj, ensure_ascii=False, separators=(",", ":"), default=_fields, check_circular=False
+    )
+
+
+def write_jsonl(fp: IO[str], objs: Iterable[Any]) -> None:
     for obj in objs:
         fp.write(dump_line(obj))
         fp.write("\n")
-        n += 1
-    return n
 
 
 def numbered_lines(fp: IO) -> Iterator[tuple[int, Any]]:

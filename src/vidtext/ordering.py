@@ -53,14 +53,27 @@ def check_normalized(log_probs: np.ndarray) -> None:
         )
 
 
-def _unflatten(n: int, flat: Sequence[float], classes: int) -> np.ndarray:
-    """The wire format of a table, row-major flattened n*n*classes, as an array."""
+def _table_array(lp, classes: int) -> np.ndarray:
+    """``lp`` as a float64 (n, n, classes) table with n >= 1."""
+    lp = np.asarray(lp, dtype=np.float64)
+    if lp.ndim != 3 or lp.shape[0] != lp.shape[1] or lp.shape[2] != classes:
+        raise ValueError(f"log_probs must be (n, n, {classes}), got shape {lp.shape}")
+    if lp.shape[0] < 1:
+        raise ValueError("table must cover at least one element")
+    return lp
+
+
+def table_from_flat(n: int, flat: Sequence[float], classes: int) -> np.ndarray:
+    """Decode the wire format of either table kind, row-major flattened
+    n*n*classes, into a table that passes ``check_normalized``."""
     arr = np.asarray(list(flat), dtype=np.float64)
     if arr.size != n * n * classes:
         raise ValueError(
             f"expected {n * n * classes} log-probabilities for n={n}, got {arr.size}"
         )
-    return arr.reshape(n, n, classes)
+    lp = _table_array(arr.reshape(n, n, classes), classes)
+    check_normalized(lp)
+    return lp
 
 
 @dataclass(frozen=True)
@@ -68,12 +81,7 @@ class PairwiseRelationTable:
     log_probs: np.ndarray  # (n, n, 4), [caption, frame, class]
 
     def __post_init__(self) -> None:
-        lp = np.asarray(self.log_probs, dtype=np.float64)
-        if lp.ndim != 3 or lp.shape[0] != lp.shape[1] or lp.shape[2] != 4:
-            raise ValueError(f"log_probs must be (n, n, 4), got shape {lp.shape}")
-        if lp.shape[0] < 1:
-            raise ValueError("table must cover at least one element")
-        object.__setattr__(self, "log_probs", lp)
+        object.__setattr__(self, "log_probs", _table_array(self.log_probs, 4))
 
     @property
     def n(self) -> int:
@@ -85,10 +93,8 @@ class PairwiseRelationTable:
 
     @classmethod
     def from_flat(cls, n: int, flat: Sequence[float]) -> "PairwiseRelationTable":
-        """Decode the wire format (row-major flattened n*n*4) and validate."""
-        table = cls(_unflatten(n, flat, 4))
-        table.validate()
-        return table
+        """``table_from_flat`` of a 4-class table."""
+        return cls(table_from_flat(n, flat, 4))
 
     @classmethod
     def uniform(cls, n: int) -> "PairwiseRelationTable":
@@ -145,6 +151,10 @@ def best_ordering(table: PairwiseRelationTable) -> tuple[tuple[int, ...], float]
     scores = _slot_scores(table)
     finite = scores[np.isfinite(scores)]
     low, high = finite.min(initial=0.0), finite.max(initial=0.0)
+    if not np.isfinite(low - table.n * (high - low) - 1.0):
+        # An exact rescale, by a power of two, so the floor and the assignment's sums fit.
+        k = (4 * table.n**3 + 4).bit_length()
+        scores, low, high = (np.ldexp(x, -k) for x in (scores, low, high))
     # A -inf slot score becomes one low enough to lose to every finite assignment.
     pairs, _ = hungarian_match(np.maximum(scores, low - table.n * (high - low) - 1.0))
     perm = tuple(col for _, col in pairs)
@@ -160,7 +170,7 @@ def frame_order_score(two_way: np.ndarray, sigma: Sequence[int]) -> float:
     ``two_way[i, j, 0]`` is the log-probability that frame ``i`` comes before
     frame ``j``; diagonal cells are ignored.
     """
-    lp = _two_way_array(two_way)
+    lp = _table_array(two_way, 2)
     perm = check_permutation(sigma, lp.shape[0])
     total = 0.0
     for i, j in itertools.permutations(range(lp.shape[0]), 2):
@@ -168,30 +178,12 @@ def frame_order_score(two_way: np.ndarray, sigma: Sequence[int]) -> float:
     return float(total)
 
 
-def two_way_from_flat(n: int, flat: Sequence[float]) -> np.ndarray:
-    """Decode a 2-way table's wire format (row-major flattened n*n*2), checked
-    like ``PairwiseRelationTable.from_flat``: at least one element, each cell
-    normalized."""
-    two_way = _unflatten(n, flat, 2)
-    if n < 1:
-        raise ValueError("table must cover at least one element")
-    check_normalized(two_way)
-    return two_way
-
-
-def _two_way_array(two_way: np.ndarray) -> np.ndarray:
-    lp = np.asarray(two_way, dtype=np.float64)
-    if lp.ndim != 3 or lp.shape[0] != lp.shape[1] or lp.shape[2] != 2:
-        raise ValueError(f"two-way table must be (n, n, 2), got shape {lp.shape}")
-    return lp
-
-
 def best_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Exact argmax of ``frame_order_score`` for n up to ``MAX_FRAMES``, by dynamic
     programming over the set of frames in the first slots (Held & Karp 1962).
     Ties follow ``hungarian_match``: frame 0, then 1 and so on takes its smallest
     slot whose constrained optimum is within tolerance of the best."""
-    lp = _two_way_array(two_way)
+    lp = _table_array(two_way, 2)
     n = lp.shape[0]
     if n > MAX_FRAMES:
         raise ValueError(f"frame ordering is bounded at n={MAX_FRAMES}, got n={n}")

@@ -582,6 +582,40 @@ def test_score_order_malformed_lines_are_data_errors(capsys, monkeypatch):
         assert [json.loads(line)["permutation"] for line in out.splitlines()] == [[0, 1]]
 
 
+def test_score_order_takes_the_best_of_a_table_whose_slot_scores_overflow(capsys, monkeypatch):
+    half, big = math.log(0.5), -1.7e308
+    cells = [[half, half, big, big], [big, big, big, 0], [half, big, half, big], [big, big, 0, big]]
+    line = json.dumps({"n": 2, "log_probs": [x for cell in cells for x in cell]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["score-order"], line + "\n", monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == '{"permutation":[1,0],"score":-1.7e+308,"schema_version":"1"}\n'
+
+
+# Each bad table as (n, log_probs of a 2- or 4-class table) and its message.
+BAD_TABLES = {
+    "empty": (lambda c: (0, []), "table must cover at least one element"),
+    "size": (lambda c: (2, [0.0] * 3), "expected {size} log-probabilities for n=2, got 3"),
+    "unnormalized": (
+        lambda c: (1, [0.0, 0.0] + [-1e300] * (c - 2)),
+        "cell (0, 0) is not normalized: logsumexp 0.693 (tolerance 1e-06)",
+    ),
+    "nan": (lambda c: (1, [float("nan")] * c), "log_probs[0] must be a finite number, got nan"),
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_TABLES))
+@pytest.mark.parametrize("classes", [2, 4])
+def test_both_table_kinds_reject_a_bad_line_alike(capsys, monkeypatch, classes, fault):
+    table, message = BAD_TABLES[fault]
+    n, flat = table(classes)
+    text = json.dumps({"n": n, "classes": classes, "log_probs": flat}) + "\n"
+    code, out, err = run_cli(capsys, ["score-order"], text, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == f"line 1: skipped (ValueError: {message.format(size=4 * classes)})\n"
+
+
 MASK_ARGV = ["mask", "--vocab-size", "100", "--mask-id", "99"]
 MASK_GOOD = {"sequence_id": "s", "tokens": [10, 11, 12], "weights": [1.0, 2, 0.5]}
 CORRUPT_GOOD = {"doc_id": "d", "words": ["Hello", "world"]}
@@ -702,6 +736,45 @@ def test_pack_takes_segments_longer_than_the_default_cap(capsys, monkeypatch):
     assert code == 0 and "skipped" not in err
     rows = [json.loads(l) for l in packed.splitlines()]
     assert [len(row["segments"][0]["tokens"]) for row in rows] == lengths
+
+
+# Key order of every written line, as README "File formats" gives it.
+TOKEN_KEYS = ["id", "word_index", "start_s", "end_s"]
+SEGMENT_KEYS = ["tokens", "frame_time_s", "variant"]
+VIDEO_KEYS = ["video_id", "duration_s", "category", "has_english_asr", "segments"]
+RECORD_KEYS = ["schema_version", *VIDEO_KEYS]
+EXAMPLE_KEYS = ["schema_version", "segments", "provenance"]
+
+
+def assert_segment_keys(segments):
+    for seg in segments:
+        assert list(seg) == SEGMENT_KEYS
+        assert all(list(tok) == TOKEN_KEYS for tok in seg["tokens"])
+
+
+def test_every_writer_keeps_the_documented_key_order(capsys, monkeypatch, data_dir):
+    golden = str(data_dir / "golden_input.jsonl")
+    _, segmented, _ = run_cli(capsys, ["segment", "--input", golden])
+    _, packed, _ = run_cli(
+        capsys, ["pack", "--segments-per-example", "1"], segmented, monkeypatch
+    )
+    _, ran, _ = run_cli(capsys, ["run", "--input", golden])
+    for line in segmented.splitlines():
+        obj = json.loads(line)
+        assert list(obj) == RECORD_KEYS
+        assert_segment_keys(obj["segments"])
+    examples = [json.loads(line) for line in packed.splitlines() + ran.splitlines()]
+    assert len(examples) > 7
+    for obj in examples:
+        assert list(obj) == EXAMPLE_KEYS
+        assert_segment_keys(obj["segments"])
+        assert all(type(p) is list and len(p) == 2 for p in obj["provenance"])
+    line = json.dumps(LINE_READERS["align"][1])
+    _, aligned, _ = run_cli(capsys, ["align"], line + "\n", monkeypatch)
+    obj = json.loads(aligned)
+    assert list(obj) == ["pairs", "total_cost", "clean_words", "schema_version"]
+    assert obj["pairs"] == [[0, 0]]
+    assert [list(word) for word in obj["clean_words"]] == [["text", "start_s", "end_s"]]
 
 
 SEGMENT_RECORD = {

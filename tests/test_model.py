@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,13 +95,13 @@ def test_validate_example_checks_segment_count():
 
 def test_record_round_trip_exact():
     record = make_record()
-    assert record_from_json(record_to_json(record)) == record
+    assert record_from_json(json.loads(dump_line(record_to_json(record)))) == record
 
 
 def test_example_round_trip_exact():
     segs = tuple(make_segment(t0=i * 5.0) for i in range(2))
     example = PackedExample(segments=segs, provenance=(("a", 0), ("b", 4)))
-    assert example_from_json(example_to_json(example)) == example
+    assert example_from_json(json.loads(dump_line(example_to_json(example)))) == example
 
 
 @pytest.mark.parametrize(
@@ -115,7 +116,7 @@ def test_example_round_trip_exact():
 )
 def test_example_provenance_is_strict(provenance, message):
     segs = (make_segment(),)
-    obj = example_to_json(PackedExample(segments=segs, provenance=(("a", 3),)))
+    obj = json.loads(dump_line(example_to_json(PackedExample(segs, provenance=(("a", 3),)))))
     with pytest.raises(ValueError, match=re.escape(message)):
         example_from_json({**obj, "provenance": provenance})
 
@@ -125,6 +126,20 @@ def test_dump_line_is_compact_and_preserves_unicode():
     assert " " not in line
     assert "café" in line
     assert json.loads(line) == {"b": 1, "a": "café"}
+
+
+def test_dump_line_writes_records_as_their_fields_in_order():
+    token = TimedToken(id=3, word_index=1, start_s=0.5, end_s=0.75)
+    line = '{"t":[{"id":3,"word_index":1,"start_s":0.5,"end_s":0.75}]}'
+    assert dump_line({"t": (token,)}) == line
+
+
+@pytest.mark.parametrize(
+    "obj", [{"x": object()}, {"x": np.int64(1)}, TimedToken, {"x": TimedToken}]
+)
+def test_dump_line_rejects_what_is_not_json_or_a_record(obj):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dump_line(obj)
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,38 @@ def test_zero_probability_cells_keep_the_tie_rule():
     perm, score = best_frame_ordering(two)
     exp_perm, exp_score = brute_force_frame_ordering(two)
     assert perm == exp_perm and score == pytest.approx(exp_score, rel=1e-12)
+
+
+def test_overflowing_slot_scores_keep_the_tie_rule():
+    """Cells holding -1.7e308 make slot scores, and the floor that stands in for
+    -inf ones, overflow; the best permutation is still the oracle's."""
+    half, big = math.log(0.5), -1.7e308
+    cells = np.array(
+        [[half, half, big, big], [big, 0, big, big], [big, big, big, 0], [0, big, big, big],
+         [half, big, half, big], [big, half, half, big], [big, big, 0, big]]
+    )
+    rng = np.random.default_rng(10)
+    finite = 0
+    with np.errstate(over="ignore"):
+        for _ in range(400):
+            n = int(rng.integers(1, 6))
+            lp = cells[rng.integers(len(cells), size=(n, n))]
+            perm, score = best_ordering(PairwiseRelationTable(lp))
+            exp_perm, exp_score = smallest_near_best(n, lambda p: relation_table_score(lp, p))
+            if exp_score == -math.inf:  # every permutation ties
+                exp_perm = tuple(range(n))
+            finite += math.isfinite(exp_score)
+            assert perm == exp_perm and score == pytest.approx(exp_score, rel=1e-12)
+    assert finite > 50
+
+
+def test_frame_search_checks_its_table_as_relation_tables_are_checked():
+    message = "log_probs must be (n, n, 2), got shape (2, 3, 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        best_frame_ordering(np.zeros((2, 3, 2)))
+    for search in (best_frame_ordering, lambda lp: frame_order_score(lp, ())):
+        with pytest.raises(ValueError, match="at least one element"):
+            search(np.zeros((0, 0, 2)))
 
 
 def test_from_flat_round_trip_and_validation():
