@@ -59,7 +59,7 @@ from .pipeline import (
     segment_video,
     write_examples,
 )
-from .segmenting import frame_manifest, sequence_shape
+from .segmenting import sequence_shape
 from .selfcheck import selfcheck
 from .tokenizers import load_tokenizer
 
@@ -70,6 +70,10 @@ def _accept(obj: Any, handle: Callable[[Any], Any]) -> tuple[str, Any]:
 
 def _write_objects(fout: IO[str], objs: Iterator[dict[str, Any]]) -> None:
     write_jsonl(fout, ({**obj, "schema_version": SCHEMA_VERSION} for obj in objs))
+
+
+def _write_lines(fout: IO[str], lines: Iterator[str]) -> None:
+    fout.writelines(line + "\n" for line in lines)
 
 
 def _stream(args, handle: Callable[[Any], Any], write=_write_objects) -> int:
@@ -195,13 +199,14 @@ def _cmd_segment(args) -> int:
             else None
         )
 
-        def handle(obj: Any) -> dict[str, Any]:
-            record = segment_video(*decode_video(obj), cfg, tokenizer)
+        def handle(obj: Any) -> str:
+            record, frames = segment_video(*decode_video(obj), cfg, tokenizer)
             if frames_fp is not None:
-                write_jsonl(frames_fp, frame_manifest([record]))
+                rows = ({"video_id": record.video_id, "frame_time_s": t} for t in frames)
+                write_jsonl(frames_fp, rows)
             return record_to_json(record)
 
-        return _stream(args, handle)
+        return _stream(args, handle, _write_lines)
 
 
 def _cmd_pack(args) -> int:

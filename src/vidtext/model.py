@@ -6,7 +6,7 @@ validators happen on those rounded values, so serialization round-trips
 are exact.
 
 The line format (one JSON object per line, ``schema_version`` "1" first) is
-each record's fields in declaration order, as ``dump_line`` writes them:
+each record's fields in declaration order:
 
 * video record: ``video_id``, ``duration_s``, ``category``,
   ``has_english_asr``, ``segments``
@@ -14,6 +14,17 @@ each record's fields in declaration order, as ``dump_line`` writes them:
 * token: ``id``, ``word_index``, ``start_s``, ``end_s``
 * packed example: ``segments`` plus ``provenance`` as
   ``[[video_id, original_segment_index], ...]``
+
+A segment is written by one writer, ``segment_json``, from the token runs
+of its words (``token_runs_json``): the tokens of one word share its index
+and span, so that tail is formatted once per word.  On the write paths
+(``segment``, ``pack`` and ``run``) a record's or an example's ``segments``
+hold that JSON, not ``Segment`` objects.  A ``run`` pool worker returns each
+accepted video as a ``VideoRecord`` of segment JSON, so the worker writes
+every token, and the parent only joins 16 segments and their provenance
+into an example line (``example_to_json``).  ``segment_to_json`` writes a
+``Segment`` object through the same writer.  ``dump_line`` writes every
+other record from its fields.
 """
 
 from __future__ import annotations
@@ -22,8 +33,10 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import IO, Any, Callable, Iterable, Iterator
+from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import attrgetter, itemgetter, lt, mul, truediv
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 SCHEMA_VERSION = "1"
 
@@ -111,7 +124,7 @@ class VideoRecord:
     duration_s: float
     category: str
     has_english_asr: bool
-    segments: tuple[Segment, ...] = ()
+    segments: tuple[Segment, ...] = ()  # or their segment JSON, on the write paths
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -122,7 +135,7 @@ class VideoRecord:
 class PackedExample:
     """Exactly ``segments_per_example`` segments, possibly from several videos."""
 
-    segments: tuple[Segment, ...]
+    segments: tuple[Segment, ...]  # or their segment JSON, on the write paths
     provenance: tuple[tuple[str, int], ...]  # (video_id, original segment index)
 
     def __post_init__(self) -> None:
@@ -340,6 +353,49 @@ def word_from_json(obj: dict[str, Any]) -> TimedWord:
     )
 
 
+Words = tuple[list[str], list[float], list[float]]  # text, start_s, end_s per word
+
+
+def _rounded_seconds(values: list) -> list[float] | None:
+    """``round_ms`` of every value if each would pass ``_seconds_field``, else None."""
+    if not set(map(type, values)) <= {float, int}:
+        return None
+    try:
+        ms = list(map(mul, values, repeat(1000.0)))
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if ms and not (0.0 <= min(ms) and max(ms) < math.inf and not any(map(math.isnan, ms))):
+        return None
+    return list(map(truediv, map(round, ms), repeat(1000.0)))
+
+
+def words_field(obj: dict[str, Any], key: str) -> Words:
+    """The timed words in ``obj[key]`` as parallel lists: text, and start_s and
+    end_s rounded by ``round_ms``, as ``word_from_json`` decodes each word.
+
+    The checks run over whole columns.  A list that fails one is decoded
+    word by word, which raises its first fault under its ``key[k]`` path.
+    """
+    items = _member(obj, key)
+    if type(items) is list and set(map(type, items)) <= {dict}:
+        try:
+            texts = list(map(itemgetter("text"), items))
+            starts = _rounded_seconds(list(map(itemgetter("start_s"), items)))
+            ends = _rounded_seconds(list(map(itemgetter("end_s"), items)))
+        except KeyError:
+            pass
+        else:
+            if (
+                set(map(type, texts)) <= {str}
+                and starts is not None
+                and ends is not None
+                and True not in map(lt, ends, starts)
+            ):
+                return texts, starts, ends
+    words = list_field(obj, key, word_from_json)
+    return [w.text for w in words], [w.start_s for w in words], [w.end_s for w in words]
+
+
 def segment_from_json(obj: dict[str, Any]) -> Segment:
     return Segment(
         tokens=list_field(obj, "tokens", token_from_json),
@@ -348,9 +404,46 @@ def segment_from_json(obj: dict[str, Any]) -> Segment:
     )
 
 
-def record_to_json(record: VideoRecord) -> dict[str, Any]:
-    """The line of a record, for ``dump_line``."""
-    return {"schema_version": SCHEMA_VERSION, **vars(record)}
+def token_runs_json(
+    ids: Sequence[Sequence[int]],
+    word_index: Sequence[int],
+    starts: Sequence[float],
+    ends: Sequence[float],
+) -> list[str]:
+    """Per word, its token objects comma-joined, from columns: the word's token
+    ids (at least one), index and span.  A word's tokens share its index and
+    span, so that tail is formatted once per word, with numbers as ``json``
+    writes them."""
+    tails = [
+        f',"word_index":{w},"start_s":{s!r},"end_s":{e!r}}}'
+        for w, s, e in zip(word_index, starts, ends)
+    ]
+    return ['{"id":' + (tail + ',{"id":').join(map(str, i)) + tail for i, tail in zip(ids, tails)]
+
+
+def segment_json(token_runs: Iterable[str], frame_time_s: float, variant: str = VARIANT_CLEAN) -> str:
+    """A segment as JSON, from its words' ``token_runs_json``: the one writer
+    of the segment wire format.  A variant needs no escapes."""
+    runs = ",".join(token_runs)
+    return f'{{"tokens":[{runs}],"frame_time_s":{frame_time_s!r},"variant":"{variant}"}}'
+
+
+def segment_to_json(seg: Segment) -> str:
+    """``segment_json`` of a ``Segment``, with one token run per word and span."""
+    runs = [
+        (word, [tok.id for tok in toks])
+        for word, toks in groupby(seg.tokens, key=attrgetter("word_index", "start_s", "end_s"))
+    ]
+    word_index, starts, ends = zip(*(word for word, _ in runs))
+    token_runs = token_runs_json([ids for _, ids in runs], word_index, starts, ends)
+    return segment_json(token_runs, seg.frame_time_s, seg.variant)
+
+
+def record_to_json(record: VideoRecord) -> str:
+    """The line of a record whose segments are segment JSON: its other fields
+    by ``dump_line``, then its segments, the last field."""
+    head = dump_line({"schema_version": SCHEMA_VERSION, **vars(record), "segments": ()})
+    return head.removesuffix("]}") + ",".join(record.segments) + "]}"
 
 
 def metadata_from_json(obj: dict[str, Any]) -> VideoRecord:
@@ -372,9 +465,11 @@ def record_from_json(obj: dict[str, Any]) -> VideoRecord:
     )
 
 
-def example_to_json(example: PackedExample) -> dict[str, Any]:
-    """The line of a packed example, for ``dump_line``."""
-    return {"schema_version": SCHEMA_VERSION, **vars(example)}
+def example_to_json(example: PackedExample) -> str:
+    """The line of a packed example whose segments are segment JSON."""
+    segments = ",".join(example.segments)
+    provenance = dump_line(example.provenance)
+    return f'{{"schema_version":"{SCHEMA_VERSION}","segments":[{segments}],"provenance":{provenance}}}'
 
 
 def _provenance_item(item: Any, where: str) -> tuple[str, int]:

@@ -66,6 +66,8 @@ def _table_array(lp, classes: int) -> np.ndarray:
 def table_from_flat(n: int, flat: Sequence[float], classes: int) -> np.ndarray:
     """Decode the wire format of either table kind, row-major flattened
     n*n*classes, into a table that passes ``check_normalized``."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     arr = np.asarray(list(flat), dtype=np.float64)
     if arr.size != n * n * classes:
         raise ValueError(

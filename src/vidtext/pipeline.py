@@ -9,7 +9,10 @@ Input is line-delimited JSON, one video per line:
 ``thumbnails`` is optional; without it only the metadata gates run.  Output
 is packed-example JSONL plus a manifest of per-stage counts and the config
 hash.  Records are processed by a pool whose results are consumed in input
-order, so worker count never changes a single output byte.  ``decode_line``
+order, so worker count never changes a single output byte.  A worker
+decodes, gates, tokenizes and segments a line and writes each segment's
+JSON; the parent packs those and joins each 16 into an example line.
+``decode_line``
 applies the line rules of every reader; it, the decoders, the gate
 composition, the line driver and ``note_skip`` are shared by every
 streaming subcommand, so ``filter`` decides and reports a line as ``run`` does.
@@ -36,20 +39,24 @@ from .filters import (
 )
 from .model import (
     SCHEMA_VERSION,
-    TimedWord,
     VideoRecord,
-    dump_line,
+    Words,
     example_to_json,
-    list_field,
     metadata_from_json,
     numbered_lines,
     record_from_json,
+    segment_to_json,
     typed_rows,
     validate_record,
-    word_from_json,
+    words_field,
 )
-from .segmenting import PackStats, pack_examples, segment_transcript
-from .tokenizers import load_tokenizer, tokenize_words
+from .segmenting import PackStats, pack_examples, segment_words
+from .tokenizers import load_tokenizer
+
+# perfbench/tracing.py patches these names in this module; nothing here calls them.
+from .model import dump_line  # noqa: F401
+from .segmenting import segment_transcript  # noqa: F401
+from .tokenizers import tokenize_words  # noqa: F401
 
 _CHUNKSIZE = 8
 
@@ -121,15 +128,16 @@ def decode_line(raw: str | bytes) -> dict[str, Any]:
     return obj
 
 
-def decode_video(obj: dict[str, Any]) -> tuple[VideoRecord, list[TimedWord]]:
+def decode_video(obj: dict[str, Any]) -> tuple[VideoRecord, Words]:
     """A raw video line as its metadata (no segments) and its timed words."""
     meta = metadata_from_json(obj)
-    words = list_field(obj, "words", word_from_json) if "words" in obj else []
+    words = words_field(obj, "words") if "words" in obj else ([], [], [])
     return meta, words
 
 
 def decode_record(obj: dict[str, Any]) -> VideoRecord:
-    """A segmented video record (``segment`` output, ``pack`` input), validated.
+    """A segmented video record (``segment`` output, ``pack`` input), validated,
+    with its segments as segment JSON.
 
     The token cap per segment is chosen when ``segment`` runs, so any
     segment length passes here; every other invariant is checked.
@@ -138,7 +146,7 @@ def decode_record(obj: dict[str, Any]) -> VideoRecord:
     violations = validate_record(record, l_max=sys.maxsize)
     if violations:
         raise ValueError(f"invalid record: {'; '.join(str(v) for v in violations[:3])}")
-    return record
+    return dataclasses.replace(record, segments=tuple(map(segment_to_json, record.segments)))
 
 
 def apply_gates(
@@ -152,6 +160,8 @@ def apply_gates(
     decision = metadata_gate(meta, max_duration_s=cfg.max_duration_s)
     if decision.accepted and "thumbnails" in obj:
         thumbs = obj["thumbnails"]
+        if type(thumbs) is not dict:
+            raise ValueError(f"thumbnails must be an object, got {thumbs!r:.40}")
         decision = thumbnail_gate(
             ThumbnailEvidence(
                 typed_rows(thumbs, "object_probs", float),
@@ -166,13 +176,13 @@ def apply_gates(
 
 
 def segment_video(
-    meta: VideoRecord, words: list[TimedWord], cfg: PipelineConfig, tokenizer
-) -> VideoRecord:
-    """Tokenize and segment one transcript into a record that keeps every
-    ``validate_record`` invariant by construction, so it is not validated."""
-    tokens = tokenize_words(words, tokenizer)
-    segments = segment_transcript(tokens, l_max=cfg.tokens_per_segment)
-    return dataclasses.replace(meta, segments=segments)
+    meta: VideoRecord, words: Words, cfg: PipelineConfig, tokenizer
+) -> tuple[VideoRecord, list[float]]:
+    """One transcript as a record of segment JSON, and its frame times.  Its
+    segments keep every ``validate_record`` invariant by construction, so
+    they are not validated."""
+    segments, frames = segment_words(words, tokenizer, l_max=cfg.tokens_per_segment)
+    return dataclasses.replace(meta, segments=tuple(segments)), frames
 
 
 def line_outcome(handle: Callable[..., Outcome], raw: str | bytes, *args) -> Outcome:
@@ -188,7 +198,7 @@ def _video_outcome(obj: dict[str, Any], cfg: PipelineConfig, tokenizer) -> Outco
     decision = apply_gates(meta, obj, cfg)
     if not decision.accepted:
         return REJECTED, decision.reason
-    return ACCEPTED, segment_video(meta, words, cfg, tokenizer)
+    return ACCEPTED, segment_video(meta, words, cfg, tokenizer)[0]
 
 
 def process_video_line(
@@ -196,9 +206,10 @@ def process_video_line(
 ) -> Outcome:
     """One video through decode, gates, and segmentation.
 
-    Returns ("error", message), ("rejected", reason), or
-    ("accepted", VideoRecord).  Without a config this uses ``PipelineConfig()``,
-    and without a tokenizer it loads the config's.
+    Returns ("error", message), ("rejected", reason), or ("accepted",
+    VideoRecord) whose ``segments`` are segment JSON strings.  Without a
+    config this uses ``PipelineConfig()``, and without a tokenizer it loads
+    the config's.
     """
     cfg = config if config is not None else PipelineConfig()
     tok = tokenizer if tokenizer is not None else load_tokenizer(cfg.tokenizer_path)
@@ -248,7 +259,7 @@ def _result_stream(
 def write_examples(
     records: Iterable[VideoRecord], cfg: PipelineConfig, output_fp: IO[str]
 ) -> PackStats:
-    """Pack records into examples and write each as a JSON line."""
+    """Pack records of segment JSON into examples and write each as a line."""
     stats = PackStats()
     for example in pack_examples(
         records,
@@ -256,7 +267,7 @@ def write_examples(
         cross_video=cfg.cross_video,
         stats=stats,
     ):
-        output_fp.write(dump_line(example_to_json(example)))
+        output_fp.write(example_to_json(example))
         output_fp.write("\n")
     return stats
 

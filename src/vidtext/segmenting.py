@@ -1,9 +1,13 @@
 """Segment construction, example packing, and sequence-shape arithmetic.
 
-``segment_transcript`` fills segments greedily left to right, never splitting
-a word's tokens across a boundary: when the next word's tokens would push the
-buffer past the limit, the buffer is flushed and the word opens a new
-segment.  Each segment's frame is sampled at the midpoint of its time span.
+Segments are filled greedily left to right, never splitting a word's tokens
+across a boundary: when the next word's tokens would push the buffer past
+the limit, the buffer is flushed and the word opens a new segment.  Each
+segment's frame is sampled at the midpoint of its time span.  That rule is
+``segment_bounds``, over words as columns; ``segment_words`` applies it to
+decoded words and writes each segment as its JSON (the ``segment`` and
+``run`` path), and ``segment_transcript`` applies it to ``TimedToken``
+objects (the library).
 
 ``pack_examples`` concatenates segment streams across videos and emits
 fixed-size blocks; the trailing remainder is dropped, never padded.
@@ -13,11 +17,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Any, Iterable, Iterator, Sequence
+from operator import attrgetter, lt
+from typing import Iterable, Iterator, Sequence
 
 from .config import PipelineConfig
-from .model import PackedExample, Segment, TimedToken, VideoRecord
+from .model import (
+    PackedExample,
+    Segment,
+    TimedToken,
+    VideoRecord,
+    Words,
+    round_ms,
+    segment_json,
+    token_runs_json,
+)
+from .tokenizers import Tokenizer, encode_words
 
 
 class OversizeWordError(ValueError):
@@ -50,34 +64,84 @@ def sequence_shape(cfg: PipelineConfig = PipelineConfig()) -> SequenceShape:
     )
 
 
-def segment_transcript(tokens: Sequence[TimedToken], l_max: int = 32) -> list[Segment]:
-    """Split a timed token stream into segments of at most ``l_max`` tokens;
-    a word that starts before the previous word ends is a ``ValueError``."""
+def segment_bounds(
+    word_index: Sequence[int],
+    n_tokens: Sequence[int],
+    starts: Sequence[float],
+    ends: Sequence[float],
+    l_max: int = 32,
+) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` word ranges of greedy segments of at most ``l_max`` tokens.
+
+    The columns describe the words that make tokens, in order: each word's
+    index in its transcript, token count and span.  A word that starts before
+    the previous one ends is a ``ValueError``, checked over all words first;
+    a word of more than ``l_max`` tokens is an ``OversizeWordError``.
+    """
     if l_max < 1:
         raise ValueError(f"l_max must be at least 1, got {l_max}")
-    # Group the stream by word so boundaries never split a word.
+    early = list(map(lt, starts[1:], ends))
+    if True in early:
+        k = early.index(True) + 1
+        raise ValueError(
+            f"word {word_index[k]} starts at {starts[k]} before the "
+            f"previous word ends at {ends[k - 1]}"
+        )
+    if n_tokens and max(n_tokens) > l_max:
+        k = next(k for k, n in enumerate(n_tokens) if n > l_max)
+        raise OversizeWordError(
+            f"word {word_index[k]} expands to {n_tokens[k]} tokens, segment limit is {l_max}"
+        )
+    bounds: list[tuple[int, int]] = []
+    lo = filled = 0
+    for k, n in enumerate(n_tokens):
+        if filled + n > l_max:
+            bounds.append((lo, k))
+            lo, filled = k, 0
+        filled += n
+    if filled:
+        bounds.append((lo, len(n_tokens)))
+    return bounds
+
+
+def segment_words(words: Words, tokenizer: Tokenizer, l_max: int = 32) -> tuple[list[str], list[float]]:
+    """Tokenize decoded words (``model.words_field``) and cut them by
+    ``segment_bounds``: each segment as its JSON, and its frame time.
+
+    This is ``segment_transcript`` over ``tokenize_words`` written out, but
+    no token object is built: each word is encoded once and its tokens are
+    written as one run (``token_runs_json``).
+    """
+    texts, starts, ends = words
+    ids = encode_words(texts, tokenizer)
+    index = range(len(ids))
+    if not all(ids):  # a word that makes no tokens is not in the token stream
+        index = [k for k, word_ids in enumerate(ids) if word_ids]
+        ids = [ids[k] for k in index]
+        starts = [starts[k] for k in index]
+        ends = [ends[k] for k in index]
+    bounds = segment_bounds(index, list(map(len, ids)), starts, ends, l_max)
+    runs = token_runs_json(ids, index, starts, ends)
+    # The span midpoint, rounded once, as Segment.from_tokens takes it.
+    frames = [round_ms((starts[lo] + ends[hi - 1]) / 2.0) for lo, hi in bounds]
+    segments = [segment_json(runs[lo:hi], t) for (lo, hi), t in zip(bounds, frames)]
+    return segments, frames
+
+
+def segment_transcript(tokens: Sequence[TimedToken], l_max: int = 32) -> list[Segment]:
+    """Split a timed token stream into segments of at most ``l_max`` tokens,
+    by ``segment_bounds`` over the stream's words."""
     words = [list(g) for _, g in itertools.groupby(tokens, key=attrgetter("word_index"))]
-    for prev, word in zip(words, words[1:]):
-        if word[0].start_s < prev[-1].end_s:
-            raise ValueError(
-                f"word {word[0].word_index} starts at {word[0].start_s} before the "
-                f"previous word ends at {prev[-1].end_s}"
-            )
-    segments: list[Segment] = []
-    buf: list[TimedToken] = []
-    for group in words:
-        if len(group) > l_max:
-            raise OversizeWordError(
-                f"word {group[0].word_index} expands to {len(group)} tokens, "
-                f"segment limit is {l_max}"
-            )
-        if len(buf) + len(group) > l_max:
-            segments.append(Segment.from_tokens(buf))
-            buf = []
-        buf.extend(group)
-    if buf:
-        segments.append(Segment.from_tokens(buf))
-    return segments
+    bounds = segment_bounds(
+        [word[0].word_index for word in words],
+        [len(word) for word in words],
+        [word[0].start_s for word in words],
+        [word[-1].end_s for word in words],
+        l_max,
+    )
+    return [
+        Segment.from_tokens(itertools.chain.from_iterable(words[lo:hi])) for lo, hi in bounds
+    ]
 
 
 @dataclass
@@ -132,9 +196,3 @@ def group_for_joint(example: PackedExample, group: int = 4) -> list[tuple[Segmen
         tuple(example.segments[i : i + group]) for i in range(0, n, group)
     ]
 
-
-def frame_manifest(records: Iterable[VideoRecord]) -> Iterator[dict[str, Any]]:
-    """A ``{video_id, frame_time_s}`` row per segment, for frame extraction."""
-    for record in records:
-        for seg in record.segments:
-            yield {"video_id": record.video_id, "frame_time_s": seg.frame_time_s}

@@ -12,6 +12,7 @@ Every token produced from a word inherits that word's full time span.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -156,18 +157,29 @@ def load_tokenizer(path: str | Path | None) -> Tokenizer:
     return ByteBpeTokenizer.from_files(vocab, merges)
 
 
+def encode_words(texts: Sequence[str], tokenizer: Tokenizer) -> list[list[int]]:
+    """Each text's token ids, checked non-negative; the first negative id in
+    word order is a ``ValueError``, even when a later text fails to encode."""
+    ids: list[list[int]] = []
+    try:
+        for text in texts:
+            ids.append(tokenizer.encode(text))
+    finally:  # raising here replaces a later text's encoding error
+        if min(chain.from_iterable(ids), default=0) < 0:
+            bad = next(i for i in chain.from_iterable(ids) if i < 0)
+            raise ValueError(f"token id must be non-negative, got {bad}")
+    return ids
+
+
 def tokenize_words(words: Sequence[TimedWord], tokenizer: Tokenizer) -> list[TimedToken]:
     """Expand each timed word into subword tokens carrying the word's span.
 
     Words that encode to zero tokens are skipped; token order follows word
     order, so downstream segment invariants hold by construction.
     """
-    out: list[TimedToken] = []
-    for wi, word in enumerate(words):
-        for tid in tokenizer.encode(word.text):
-            out.append(
-                TimedToken(
-                    id=tid, word_index=wi, start_s=word.start_s, end_s=word.end_s
-                )
-            )
-    return out
+    ids = encode_words([word.text for word in words], tokenizer)
+    return [
+        TimedToken(id=tid, word_index=wi, start_s=word.start_s, end_s=word.end_s)
+        for wi, (word, word_ids) in enumerate(zip(words, ids))
+        for tid in word_ids
+    ]

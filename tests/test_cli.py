@@ -565,7 +565,9 @@ def test_score_order_malformed_lines_are_data_errors(capsys, monkeypatch):
         (dict(good, log_probs=flat[:7] + [True]), "log_probs[7] must be a finite number"),
         (dict(good, log_probs=flat[:7] + [float("inf")]), "log_probs[7] must be a finite number"),
         (dict(good, log_probs="0.5"), "log_probs must be a list"),
-        (dict(good, n=0, log_probs=[]), "table must cover at least one element"),
+        (dict(good, n=0, log_probs=[]), "n must be at least 1, got 0"),
+        # A negative n whose square still matches the value count.
+        (dict(good, n=-2), "n must be at least 1, got -2"),
         (dict(good, log_probs=[0.0] * 8), "cell (0, 0) is not normalized"),
         # Normalized cells whose sums overflow: JSON has no -Infinity.
         (dict(good, n=3, log_probs=[0.0, -1.7e308] * 9), "best score -inf is not finite"),
@@ -595,7 +597,7 @@ def test_score_order_takes_the_best_of_a_table_whose_slot_scores_overflow(capsys
 
 # Each bad table as (n, log_probs of a 2- or 4-class table) and its message.
 BAD_TABLES = {
-    "empty": (lambda c: (0, []), "table must cover at least one element"),
+    "empty": (lambda c: (0, []), "n must be at least 1, got 0"),
     "size": (lambda c: (2, [0.0] * 3), "expected {size} log-probabilities for n=2, got 3"),
     "unnormalized": (
         lambda c: (1, [0.0, 0.0] + [-1e300] * (c - 2)),

@@ -60,3 +60,25 @@ def test_golden_manifest_counts_conserve(data_dir):
     ] == counts["input_records"]
     assert counts["examples"] * 16 + counts["segments_dropped"] == counts["segments"]
     assert all(v == 1 for v in counts["rejected"].values())
+
+
+def test_segment_then_pack_of_accepted_lines_reproduces_the_golden_run(tmp_path, data_dir):
+    """``segment`` and ``pack`` write segments as ``run`` does: the lines
+    ``filter`` accepts, segmented then packed, give the golden output."""
+    golden = data_dir / "golden_input.jsonl"
+    verdicts = tmp_path / "verdicts.jsonl"
+    assert main(["filter", "--input", str(golden), "--output", str(verdicts)]) == 0
+    lines = [line for line in golden.read_text(encoding="utf-8").splitlines() if line.strip()]
+    rows = [json.loads(line) for line in verdicts.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == len(lines)
+    accepted = tmp_path / "accepted.jsonl"
+    accepted.write_text(
+        "".join(line + "\n" for line, row in zip(lines, rows) if row["verdict"] == "accept"),
+        encoding="utf-8",
+    )
+    segmented, packed = tmp_path / "segmented.jsonl", tmp_path / "packed.jsonl"
+    assert main(["segment", "--input", str(accepted), "--output", str(segmented)]) == 0
+    stats = tmp_path / "stats.json"
+    argv = ["pack", "--input", str(segmented), "--output", str(packed), "--stats", str(stats)]
+    assert main(argv) == 0
+    assert packed.read_bytes() == (data_dir / "golden_output.jsonl").read_bytes()

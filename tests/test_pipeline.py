@@ -1,10 +1,25 @@
+import contextlib
+import dataclasses
 import io
 import json
 import re
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from vidtext.config import PipelineConfig
-from vidtext.model import example_from_json, validate_example
+from vidtext.model import (
+    Segment,
+    TimedToken,
+    example_from_json,
+    list_field,
+    metadata_from_json,
+    validate_example,
+    word_from_json,
+)
 from vidtext.pipeline import process_video_line, run_pipeline
+from vidtext.segmenting import pack_examples, segment_transcript
+from vidtext.tokenizers import load_tokenizer, tokenize_words
 
 
 def run_to_strings(config, text, jobs=1):
@@ -78,6 +93,7 @@ def test_malformed_lines_become_errors():
          "object_probs[0][1] must be a finite number"),
         (video_line(thumbnails=dict(thumbs, object_probs=[[1.5] * 3] * 4)),
          "object probabilities"),
+        (video_line(thumbnails=[1]), "ValueError: thumbnails must be an object, got [1]"),
         (video_line(schema_version="9"), "schema_version"),
         ("[1, 2]", "JSON object"),
     ]:
@@ -180,3 +196,114 @@ def test_error_samples_capped(capsys):
         err = capsys.readouterr().err
         notes = re.findall(r"^line (\d+): skipped \(JSONDecodeError: ", err, re.M)
         assert notes == [str(k) for k in range(1, 26)], err
+
+
+# ---------------------------------------------------------------------------
+# The run path against the object API it replaces
+
+
+def reference_run(lines, cfg, tokenizer):
+    """Example lines and data-error notes of ``run`` on lines whose metadata
+    passes the gates, built from token objects: ``tokenize_words`` ->
+    ``segment_transcript`` -> ``pack_examples``, each example written as
+    ``json.dumps`` of ``dataclasses.asdict``."""
+    records, notes = [], []
+    for lineno, line in enumerate(lines, start=1):
+        obj = json.loads(line)
+        try:
+            meta = metadata_from_json(obj)
+            words = list_field(obj, "words", word_from_json)
+            tokens = tokenize_words(words, tokenizer)
+            segments = segment_transcript(tokens, l_max=cfg.tokens_per_segment)
+        except ValueError as e:
+            notes.append(f"line {lineno}: skipped ({type(e).__name__}: {e})\n")
+            continue
+        records.append(dataclasses.replace(meta, segments=tuple(segments)))
+    examples = pack_examples(
+        records, n_segments=cfg.segments_per_example, cross_video=cfg.cross_video
+    )
+    out = [
+        json.dumps(
+            {"schema_version": "1", **dataclasses.asdict(ex)},
+            ensure_ascii=False,
+            separators=(",", ":"),
+        )
+        + "\n"
+        for ex in examples
+    ]
+    return "".join(out), "".join(notes)
+
+
+# Empty words, words the test BPE merges, multi-byte UTF-8 (which the test
+# vocabulary lacks), and words of 4 to 6 bytes, which fill or overflow a
+# segment of l_max 4 to 6.
+WORD_TEXTS = st.sampled_from(["", "a", "the", "in", "é", "x y"] * 3 + ["abcd", "there", "日本"])
+# Times in ms, plus half-ms ties that round_ms rounds half to even.
+TIMES_MS = st.integers(0, 4000).map(lambda ms: ms / 1000) | st.integers(0, 4000).map(
+    lambda ms: (ms + 0.5) / 1000
+)
+
+
+@st.composite
+def transcripts(draw):
+    words = []
+    t = draw(TIMES_MS)
+    for _ in range(draw(st.integers(0, 30))):
+        end = t + draw(st.just(0.0) | TIMES_MS)
+        if draw(st.integers(0, 299)) == 0:  # a reversed span
+            t, end = end + 0.01, t
+        words.append({"text": draw(WORD_TEXTS), "start_s": t, "end_s": end})
+        # touching words, gaps, and now and then an overlap
+        t = end + (-0.0015 if draw(st.integers(0, 299)) == 0 else draw(st.just(0.0) | TIMES_MS))
+    if words and draw(st.booleans()):
+        words[0]["start_s"] = int(words[0]["start_s"])  # a JSON integer time
+    video_id = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6))
+    return json.dumps(
+        {
+            "video_id": video_id,
+            "duration_s": 10.0,
+            "category": "Howto",
+            "has_english_asr": True,
+            "words": words,
+        },
+        ensure_ascii=draw(st.booleans()),
+    )
+
+
+@given(
+    st.lists(transcripts(), min_size=1, max_size=5),
+    st.integers(4, 6),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_run_writes_what_the_object_api_writes(
+    tiny_tokenizer_dir, lines, l_max, n_segments, cross_video, bpe
+):
+    cfg = PipelineConfig(
+        tokens_per_segment=l_max,
+        segments_per_example=n_segments,
+        cross_video=cross_video,
+        tokenizer_path=str(tiny_tokenizer_dir) if bpe else None,
+    )
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        _, out = run_to_strings(cfg, "\n".join(lines))
+    want_out, want_err = reference_run(lines, cfg, load_tokenizer(cfg.tokenizer_path))
+    assert out == want_out
+    assert err.getvalue() == want_err
+
+
+def test_run_builds_no_token_objects(monkeypatch, data_dir):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built on the run path")
+
+    monkeypatch.setattr(TimedToken, "__post_init__", refuse)
+    monkeypatch.setattr(Segment, "__post_init__", refuse)
+    _, out = run_to_strings(PipelineConfig(), (data_dir / "golden_input.jsonl").read_text())
+    assert out == (data_dir / "golden_output.jsonl").read_text()
