@@ -61,8 +61,6 @@ from .model import (
     TimedToken,
     TimedWord,
     VideoRecord,
-    Violation,
-    validate_example,
     validate_record,
 )
 from .ordering import (
@@ -143,8 +141,6 @@ __all__ = [
     "TimedToken",
     "TimedWord",
     "VideoRecord",
-    "Violation",
-    "validate_example",
     "validate_record",
     "CLASS_AFTER",
     "CLASS_BEFORE",

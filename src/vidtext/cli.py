@@ -25,7 +25,7 @@ from .arrayio import load_int_vector, load_matrix, load_order_head
 from .config import FIELD_KINDS, SHAPE_FIELDS, PipelineConfig, resolve_config
 from .corruption import PronunciationTable, corrupt_document, derive_seed
 from .losses import combine_losses, contrastive_loss, masked_lm_loss, order_logits, ordering_loss
-from .masking import AttentionProfile, apply_plan, select_targets
+from .masking import AttentionProfile, apply_plan, check_vocabulary, select_targets
 from .model import (
     SCHEMA_VERSION,
     dump_line,
@@ -220,6 +220,7 @@ def _cmd_pack(args) -> int:
 
 def _cmd_mask(args) -> int:
     cfg = _config_from_args(args)
+    check_vocabulary(args.vocab_size, args.mask_id)  # bad flags are fatal, not per-line errors
 
     def handle(obj: Any) -> dict[str, Any]:
         seq_id = typed_field(obj, "sequence_id", str)
@@ -371,6 +372,10 @@ def _cmd_scramble_plan(args) -> int:
     """
     if args.segments < 2:
         raise ValueError("--segments must be at least 2")
+    if not 0.0 <= args.prob <= 1.0:  # NaN fails too
+        raise ValueError(f"--prob must be in [0, 1], got {args.prob}")
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     for k in range(args.count):
         if rng.random() < args.prob:

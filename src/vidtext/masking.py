@@ -229,6 +229,14 @@ def select_targets(
     )
 
 
+def check_vocabulary(vocab_size: int, mask_id: int) -> None:
+    """Raise ``ValueError`` unless the vocabulary is non-empty and holds the mask id."""
+    if vocab_size < 1:
+        raise ValueError(f"vocab_size must be positive, got {vocab_size}")
+    if not 0 <= mask_id < vocab_size:
+        raise ValueError(f"mask_id {mask_id} outside vocabulary of {vocab_size}")
+
+
 def apply_plan(
     tokens: Sequence[int],
     plan: MaskPlan,
@@ -243,10 +251,7 @@ def apply_plan(
     ``special_ids`` and the mask id.  Positions outside the plan pass through
     untouched and get the sentinel label.
     """
-    if vocab_size < 1:
-        raise ValueError(f"vocab_size must be positive, got {vocab_size}")
-    if not 0 <= mask_id < vocab_size:
-        raise ValueError(f"mask_id {mask_id} outside vocabulary of {vocab_size}")
+    check_vocabulary(vocab_size, mask_id)
     n = len(tokens)
     for pos, tok in enumerate(tokens):
         if not 0 <= int(tok) < vocab_size:

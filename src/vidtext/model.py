@@ -1,9 +1,9 @@
 """Domain types for timed transcripts and their serialized form.
 
 Everything here is an immutable value.  Timestamps are kept at millisecond
-precision: constructors round to 1 ms and all comparisons made by the
-validators happen on those rounded values, so serialization round-trips
-are exact.
+precision: constructors round to 1 ms, and the constructors' checks and
+``validate_record``, the one check of a record's segment invariants, compare
+those rounded values, so serialization round-trips are exact.
 
 The line format (one JSON object per line, ``schema_version`` "1" first) is
 each record's fields in declaration order:
@@ -150,107 +150,53 @@ class PackedExample:
             )
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed invariant, naming the offending field."""
-
-    field: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.field}: {self.message}"
+def _invalid(field: str, message: str) -> ValueError:
+    return ValueError(f"invalid record: {field}: {message}")
 
 
-def _validate_segment(seg: Segment, where: str, l_max: int) -> list[Violation]:
-    out: list[Violation] = []
-    if len(seg.tokens) > l_max:
-        out.append(
-            Violation(
-                f"{where}.tokens",
-                f"segment holds {len(seg.tokens)} tokens, limit is {l_max}",
-            )
-        )
-    spans: dict[int, tuple[float, float]] = {}
-    prev_word = -1
-    prev_end = None
-    for k, tok in enumerate(seg.tokens):
-        if tok.word_index < prev_word:
-            out.append(
-                Violation(
+def validate_record(record: VideoRecord) -> None:
+    """Check the segment invariants of a decoded record; raise
+    ``ValueError("invalid record: <field path>: <message>")`` at the first fault.
+
+    Per token: words in order, one time span per word, and no word starting
+    before the previous word ends.  Per segment, after its tokens: the frame
+    time inside its span, and no start before the previous segment ends.
+    """
+    seg_end = -math.inf
+    for s, seg in enumerate(record.segments):
+        where = f"segments[{s}]"
+        spans: dict[int, tuple[float, float]] = {}
+        prev_word, prev_end = -1, -math.inf
+        for k, tok in enumerate(seg.tokens):
+            if tok.word_index < prev_word:
+                raise _invalid(
                     f"{where}.tokens[{k}].word_index",
                     f"word order regressed from {prev_word} to {tok.word_index}",
                 )
-            )
-        span = (tok.start_s, tok.end_s)
-        if tok.word_index in spans and spans[tok.word_index] != span:
-            out.append(
-                Violation(
+            span = (tok.start_s, tok.end_s)
+            if spans.setdefault(tok.word_index, span) != span:
+                raise _invalid(
                     f"{where}.tokens[{k}]",
                     f"tokens of word {tok.word_index} disagree on its time span",
                 )
-            )
-        spans.setdefault(tok.word_index, span)
-        if (
-            prev_end is not None
-            and tok.word_index != prev_word
-            and tok.start_s < prev_end
-        ):
-            out.append(
-                Violation(
+            if tok.word_index != prev_word and tok.start_s < prev_end:
+                raise _invalid(
                     f"{where}.tokens[{k}].start_s",
                     f"word {tok.word_index} starts at {tok.start_s} before the "
                     f"previous word ends at {prev_end}",
                 )
-            )
-        prev_word = tok.word_index
-        prev_end = tok.end_s
-    if not seg.start_s <= seg.frame_time_s <= seg.end_s:
-        out.append(
-            Violation(
+            prev_word, prev_end = tok.word_index, tok.end_s
+        if not seg.start_s <= seg.frame_time_s <= seg.end_s:
+            raise _invalid(
                 f"{where}.frame_time_s",
-                f"frame time {seg.frame_time_s} outside span "
-                f"[{seg.start_s}, {seg.end_s}]",
+                f"frame time {seg.frame_time_s} outside span [{seg.start_s}, {seg.end_s}]",
             )
-        )
-    return out
-
-
-def validate_record(record: VideoRecord, l_max: int = 32) -> list[Violation]:
-    """Check every structural invariant; an empty list means the record is clean."""
-    out: list[Violation] = []
-    if not record.video_id:
-        out.append(Violation("video_id", "must be non-empty"))
-    if record.duration_s < 0:
-        out.append(Violation("duration_s", f"negative duration {record.duration_s}"))
-    prev_end = None
-    for idx, seg in enumerate(record.segments):
-        where = f"segments[{idx}]"
-        out.extend(_validate_segment(seg, where, l_max))
-        if prev_end is not None and seg.start_s < prev_end:
-            out.append(
-                Violation(
-                    f"{where}.start_s",
-                    f"segment starts at {seg.start_s} before the previous one "
-                    f"ends at {prev_end}",
-                )
+        if seg.start_s < seg_end:
+            raise _invalid(
+                f"{where}.start_s",
+                f"segment starts at {seg.start_s} before the previous one ends at {seg_end}",
             )
-        prev_end = seg.end_s
-    return out
-
-
-def validate_example(example: PackedExample, n_segments: int = 16, l_max: int = 32) -> list[Violation]:
-    out: list[Violation] = []
-    if len(example.segments) != n_segments:
-        out.append(
-            Violation(
-                "segments",
-                f"packed example holds {len(example.segments)} segments, "
-                f"expected exactly {n_segments}",
-            )
-        )
-    for idx, seg in enumerate(example.segments):
-        out.extend(_validate_segment(seg, f"segments[{idx}]", l_max))
-    return out
+        seg_end = seg.end_s
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +416,6 @@ def example_to_json(example: PackedExample) -> str:
     segments = ",".join(example.segments)
     provenance = dump_line(example.provenance)
     return f'{{"schema_version":"{SCHEMA_VERSION}","segments":[{segments}],"provenance":{provenance}}}'
-
-
-def _provenance_item(item: Any, where: str) -> tuple[str, int]:
-    if type(item) is not list or len(item) != 2:
-        raise ValueError(f"{where} must be a [video_id, index] pair, got {item!r:.40}")
-    return _typed(item[0], str, f"{where}[0]"), _typed(item[1], int, f"{where}[1]")
-
-
-def example_from_json(obj: dict[str, Any]) -> PackedExample:
-    items = _list(_member(obj, "provenance"), "provenance")
-    return PackedExample(
-        segments=list_field(obj, "segments", segment_from_json),
-        provenance=tuple(_provenance_item(p, f"provenance[{k}]") for k, p in enumerate(items)),
-    )
 
 
 def _fields(obj: Any) -> dict[str, Any]:

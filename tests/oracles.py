@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+if TYPE_CHECKING:
+    from vidtext.model import PackedExample, Segment
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -211,6 +216,89 @@ def greedy_word_packing(word_lengths: list[int], l_max: int) -> list[list[int]]:
     if current:
         segments.append(current)
     return segments
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed invariant, naming the offending field."""
+
+    field: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.message}"
+
+
+def _validate_segment(seg: Segment, where: str, l_max: int) -> list[Violation]:
+    out: list[Violation] = []
+    if len(seg.tokens) > l_max:
+        out.append(
+            Violation(
+                f"{where}.tokens",
+                f"segment holds {len(seg.tokens)} tokens, limit is {l_max}",
+            )
+        )
+    spans: dict[int, tuple[float, float]] = {}
+    prev_word = -1
+    prev_end = None
+    for k, tok in enumerate(seg.tokens):
+        if tok.word_index < prev_word:
+            out.append(
+                Violation(
+                    f"{where}.tokens[{k}].word_index",
+                    f"word order regressed from {prev_word} to {tok.word_index}",
+                )
+            )
+        span = (tok.start_s, tok.end_s)
+        if tok.word_index in spans and spans[tok.word_index] != span:
+            out.append(
+                Violation(
+                    f"{where}.tokens[{k}]",
+                    f"tokens of word {tok.word_index} disagree on its time span",
+                )
+            )
+        spans.setdefault(tok.word_index, span)
+        if (
+            prev_end is not None
+            and tok.word_index != prev_word
+            and tok.start_s < prev_end
+        ):
+            out.append(
+                Violation(
+                    f"{where}.tokens[{k}].start_s",
+                    f"word {tok.word_index} starts at {tok.start_s} before the "
+                    f"previous word ends at {prev_end}",
+                )
+            )
+        prev_word = tok.word_index
+        prev_end = tok.end_s
+    if not seg.start_s <= seg.frame_time_s <= seg.end_s:
+        out.append(
+            Violation(
+                f"{where}.frame_time_s",
+                f"frame time {seg.frame_time_s} outside span "
+                f"[{seg.start_s}, {seg.end_s}]",
+            )
+        )
+    return out
+
+
+def example_violations(example: PackedExample, n_segments: int = 16, l_max: int = 32) -> list[Violation]:
+    """Every broken invariant of a packed example: its segment count, and per
+    segment its token cap, word order, word spans and frame time.  An empty
+    list means the example is clean."""
+    out: list[Violation] = []
+    if len(example.segments) != n_segments:
+        out.append(
+            Violation(
+                "segments",
+                f"packed example holds {len(example.segments)} segments, "
+                f"expected exactly {n_segments}",
+            )
+        )
+    for idx, seg in enumerate(example.segments):
+        out.extend(_validate_segment(seg, f"segments[{idx}]", l_max))
+    return out
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:

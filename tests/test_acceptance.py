@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from oracles import exhaustive_alignment_cost, finite_difference
+from oracles import example_violations, exhaustive_alignment_cost, finite_difference
 from vidtext.align import dtw_align
 from vidtext.config import PipelineConfig
 from vidtext.corruption import (
@@ -22,7 +22,7 @@ from vidtext.corruption import (
 )
 from vidtext.losses import contrastive_loss
 from vidtext.masking import AttentionProfile, select_targets
-from vidtext.model import TimedToken, VideoRecord, validate_example
+from vidtext.model import TimedToken, VideoRecord
 from vidtext.ordering import (
     PairwiseRelationTable,
     best_ordering,
@@ -326,7 +326,7 @@ def test_criterion_08_packing_conservation():
     n_examples = 0
     for example in pack_examples(iter(records), n_segments=16, stats=stats):
         n_examples += 1
-        if validate_example(example, n_segments=16, l_max=32):
+        if example_violations(example, n_segments=16, l_max=32):
             bad_examples += 1
     conserved = (
         stats.segments_in == total_segments

@@ -418,6 +418,21 @@ def test_scramble_plan_deterministic(capsys):
             assert row["frames"] == []
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--prob", "1.5"], "--prob must be in [0, 1], got 1.5"),
+        (["--prob", "-0.1"], "--prob must be in [0, 1], got -0.1"),
+        (["--prob", "nan"], "--prob must be in [0, 1], got nan"),
+        (["--count", "-1"], "--count must be non-negative, got -1"),
+        (["--segments", "1"], "--segments must be at least 2"),
+    ],
+)
+def test_scramble_plan_bad_flags_are_fatal(capsys, flags, message):
+    code, out, err = run_cli(capsys, ["scramble-plan", *flags])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_selfcheck_passes(capsys):
     code, out, _ = run_cli(capsys, ["selfcheck"])
     assert code == 0
@@ -509,10 +524,108 @@ def test_pack_validates_every_record_and_skips_non_objects(capsys, monkeypatch):
     )
     assert code == 1
     assert "line 1: skipped" in err and "JSON object" in err
-    assert "line 2: skipped" in err
-    assert "word_index" in err and "frame_time_s" in err
+    # The record breaks word order and its frame time; only the first is named.
+    first = "segments[0].tokens[1].word_index: word order regressed from 3 to 1"
+    assert f"line 2: skipped (ValueError: invalid record: {first})\n" in err
+    assert "frame_time_s" not in err
     rows = [json.loads(l) for l in out.splitlines()]
     assert [row["provenance"] for row in rows] == [[["v", 0]]]
+
+
+# Each breaks one invariant of segment `s` of a `segment` record, in place.
+def _regress_word_order(rec, s):  # its last word renumbered to word 0
+    seg = rec["segments"][s]
+    last = seg["tokens"][-1]["word_index"]
+    for tok in seg["tokens"]:
+        if tok["word_index"] == last:
+            tok["word_index"] = 0
+
+
+def _split_word_span(rec, s):  # the second token of a word starts 1 ms late
+    toks = rec["segments"][s]["tokens"]
+    k = next(k for k in range(1, len(toks)) if toks[k]["word_index"] == toks[k - 1]["word_index"])
+    toks[k]["start_s"] = round(toks[k]["start_s"] + 0.001, 3)
+
+
+def _overlap_previous_word(rec, s):  # its second word starts 1 ms before the first ends
+    toks = rec["segments"][s]["tokens"]
+    second = next(t["word_index"] for t in toks if t["word_index"] != toks[0]["word_index"])
+    for tok in toks:
+        if tok["word_index"] == second:
+            tok["start_s"] = round(toks[0]["end_s"] - 0.001, 3)
+
+
+def _frame_after_span(rec, s):
+    seg = rec["segments"][s]
+    seg["frame_time_s"] = round(seg["tokens"][-1]["end_s"] + 1.0, 3)
+
+
+def _overlap_previous_segment(rec, s):  # its first word starts 1 ms before segment s-1 ends
+    prev_end = rec["segments"][s - 1]["tokens"][-1]["end_s"]
+    toks = rec["segments"][s]["tokens"]
+    first = toks[0]["word_index"]
+    for tok in toks:
+        if tok["word_index"] == first:
+            tok["start_s"] = round(prev_end - 0.001, 3)
+
+
+def _negative_id(rec, s):
+    rec["segments"][s]["tokens"][1]["id"] = -1
+
+
+def _end_before_start(rec, s):
+    tok = rec["segments"][s]["tokens"][2]
+    tok["end_s"] = round(tok["start_s"] - 0.001, 3)
+
+
+def _no_tokens(rec, s):
+    rec["segments"][s]["tokens"] = []
+
+
+def _unknown_variant(rec, s):
+    rec["segments"][s]["variant"] = "blurry"
+
+
+def _two_faults(rec, s):
+    _regress_word_order(rec, s)
+    _frame_after_span(rec, s)
+
+
+@pytest.mark.parametrize(
+    "line, s, spoil, note",
+    [
+        (1, 3, _regress_word_order, "invalid record: segments[3].tokens[25].word_index: word order regressed from 25 to 0"),
+        (2, 1, _split_word_span, "invalid record: segments[1].tokens[1]: tokens of word 6 disagree on its time span"),
+        (3, 4, _overlap_previous_word, "invalid record: segments[4].tokens[5].start_s: word 29 starts at 12.146 before the previous word ends at 12.147"),
+        (4, 2, _frame_after_span, "invalid record: segments[2].frame_time_s: frame time 7.974 outside span [4.737, 6.974]"),
+        (5, 5, _overlap_previous_segment, "invalid record: segments[5].start_s: segment starts at 13.865 before the previous one ends at 13.866"),
+        (6, 1, _negative_id, "segments[1]: tokens[1]: token id must be non-negative, got -1"),
+        (7, 3, _end_before_start, "segments[3]: tokens[2]: token 101: end 7.983 before start 7.984"),
+        (8, 2, _no_tokens, "segments[2]: segment must contain at least one token"),
+        (9, 4, _unknown_variant, "segments[4]: variant must be one of ('clean', 'noisy'), got 'blurry'"),
+        # Only the first of several faults is named.
+        (10, 2, _two_faults, "invalid record: segments[2].tokens[26].word_index: word order regressed from 18 to 0"),
+    ],
+)
+def test_pack_names_the_first_fault_of_a_record(capsys, tmp_path, data_dir, line, s, spoil, note):
+    segmented = tmp_path / "segmented.jsonl"
+    assert main(["segment", "--input", str(data_dir / "golden_input.jsonl"), "--output", str(segmented)]) == 0
+    lines = segmented.read_text().splitlines()
+    rec = json.loads(lines[line - 1])
+    spoil(rec, s)
+    others = lines[: line - 1] + lines[line:]
+
+    def pack(text_lines):
+        src, stats = tmp_path / "in.jsonl", tmp_path / "stats.json"
+        src.write_text("".join(l + "\n" for l in text_lines))
+        code, out, err = run_cli(capsys, ["pack", "--input", str(src), "--stats", str(stats)])
+        return code, out, err, json.loads(stats.read_text())
+
+    code, out, err, stats = pack(lines[: line - 1] + [json.dumps(rec)] + lines[line:])
+    assert (code, err) == (1, f"line {line}: skipped (ValueError: {note})\n")
+    _, out_others, _, stats_others = pack(others)
+    assert (out, stats) == (out_others, stats_others)  # the broken line is skipped whole
+    assert stats["segments_in"] == sum(len(json.loads(l)["segments"]) for l in others)
 
 
 def test_eval_story_malformed_line_is_fatal(capsys, tmp_path):
@@ -651,6 +764,19 @@ def test_mask_and_corrupt_malformed_lines_are_data_errors(
     assert "line 2: skipped" in err and message in err, err
     assert "Traceback" not in err
     assert len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--vocab-size", "0", "--mask-id", "0"], "vocab_size must be positive, got 0"),
+        (["--vocab-size", "10", "--mask-id", "12"], "mask_id 12 outside vocabulary of 10"),
+    ],
+)
+def test_mask_bad_vocabulary_flags_are_fatal(capsys, monkeypatch, flags, message):
+    text = json.dumps(MASK_GOOD) + "\n" + json.dumps(MASK_GOOD) + "\n"
+    code, out, err = run_cli(capsys, ["mask", *flags], text, monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_segment_frame_manifest(capsys, monkeypatch, tmp_path):

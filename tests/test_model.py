@@ -8,19 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidtext.model import (
-    PackedExample,
     Segment,
     TimedToken,
     TimedWord,
     VideoRecord,
     dump_line,
-    example_from_json,
-    example_to_json,
     record_from_json,
     record_to_json,
     round_ms,
     segment_to_json,
-    validate_example,
     validate_record,
 )
 
@@ -72,7 +68,8 @@ def test_round_ms_quantizes_to_milliseconds():
 
 def test_validate_record_flags_token_order_violation():
     good = make_segment()
-    # Swap two tokens from different words so start times go backwards.
+    # Swap two tokens from different words: word order regresses at token 1,
+    # and only that first fault is named.
     tokens = list(good.tokens)
     tokens[0], tokens[-1] = tokens[-1], tokens[0]
     bad = Segment(tokens=tuple(tokens), frame_time_s=good.frame_time_s)
@@ -83,48 +80,18 @@ def test_validate_record_flags_token_order_violation():
         has_english_asr=True,
         segments=(bad,),
     )
-    violations = validate_record(record)
-    assert violations
-    assert any("order" in v.message or "start" in v.message for v in violations)
+    message = "invalid record: segments[0].tokens[1].word_index: word order regressed from 1 to 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_record(record)
 
 
 def test_validate_record_passes_clean_record():
-    assert validate_record(make_record()) == []
-
-
-def test_validate_example_checks_segment_count():
-    segs = tuple(make_segment(t0=i * 10.0) for i in range(3))
-    example = PackedExample(segments=segs, provenance=(("v0", 0),) * 3)
-    assert any("3" in v.message for v in validate_example(example, n_segments=16))
-    assert validate_example(example, n_segments=3) == []
+    assert validate_record(make_record()) is None
 
 
 def test_record_round_trip_exact():
     record = make_record()
     assert record_from_json(json.loads(record_to_json(written(record)))) == record
-
-
-def test_example_round_trip_exact():
-    segs = tuple(make_segment(t0=i * 5.0) for i in range(2))
-    example = PackedExample(segments=segs, provenance=(("a", 0), ("b", 4)))
-    assert example_from_json(json.loads(example_to_json(written(example)))) == example
-
-
-@pytest.mark.parametrize(
-    "provenance, message",
-    [
-        ([["a", "3"]], "provenance[0][1] must be an integer"),
-        ([["a", 3.0]], "provenance[0][1] must be an integer"),
-        ([[7, 3]], "provenance[0][0] must be a string"),
-        ([["a", 3, 4]], "provenance[0] must be a [video_id, index] pair"),
-        ("a3", "provenance must be a list"),
-    ],
-)
-def test_example_provenance_is_strict(provenance, message):
-    segs = (make_segment(),)
-    obj = json.loads(example_to_json(written(PackedExample(segs, provenance=(("a", 3),)))))
-    with pytest.raises(ValueError, match=re.escape(message)):
-        example_from_json({**obj, "provenance": provenance})
 
 
 def test_dump_line_is_compact_and_preserves_unicode():
@@ -193,7 +160,7 @@ def test_generated_segments_validate_and_round_trip(seg):
         has_english_asr=True,
         segments=(seg,),
     )
-    assert validate_record(record) == []
+    assert validate_record(record) is None
     assert record_from_json(json.loads(record_to_json(written(record)))) == record
     # The segment writer writes a segment as its fields, like every other record.
     assert segment_to_json(seg) == dump_line(seg)

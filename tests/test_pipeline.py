@@ -7,14 +7,15 @@ import re
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import example_violations
 from vidtext.config import PipelineConfig
 from vidtext.model import (
+    PackedExample,
     Segment,
     TimedToken,
-    example_from_json,
     list_field,
     metadata_from_json,
-    validate_example,
+    segment_from_json,
     word_from_json,
 )
 from vidtext.pipeline import process_video_line, run_pipeline
@@ -146,7 +147,9 @@ def test_output_examples_validate():
     lines = [l for l in produced.splitlines() if l]
     assert len(lines) == manifest.examples
     for line in lines:
-        assert validate_example(example_from_json(json.loads(line))) == []
+        obj = json.loads(line)
+        segments = [segment_from_json(seg) for seg in obj["segments"]]
+        assert example_violations(PackedExample(segments, obj["provenance"])) == []
 
 
 def test_manifest_json_snapshot_fields():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_word_packing
+from oracles import example_violations, greedy_word_packing
 from vidtext.config import PipelineConfig
-from vidtext.model import TimedToken, TimedWord, validate_example, validate_record, VideoRecord
+from vidtext.model import TimedToken, TimedWord, validate_record, VideoRecord
 from vidtext.segmenting import (
     OversizeWordError,
     PackStats,
@@ -81,7 +81,8 @@ def test_segments_validate_as_records():
         has_english_asr=True,
         segments=tuple(segment_transcript(tokens, l_max=32)),
     )
-    assert validate_record(record) == []
+    assert validate_record(record) is None
+    assert max(len(seg.tokens) for seg in record.segments) <= 32
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ def test_pack_exact_blocks_with_remainder_dropped():
     assert stats.segments_dropped == 1
     for ex in examples:
         assert len(ex.segments) == 4
-        assert validate_example(ex, n_segments=4) == []
+        assert example_violations(ex, n_segments=4) == []
 
 
 def test_pack_provenance_tracks_source_positions():
