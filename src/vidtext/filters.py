@@ -8,9 +8,11 @@ are inputs here; producing them is someone else's job.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from itertools import chain, combinations
+from operator import add, mul
 
 REASON_PASSED = "passed"
 REASON_NO_ASR = "no_asr"
@@ -51,29 +53,35 @@ _ACCEPT = FilterDecision(REASON_PASSED)
 
 @dataclass(frozen=True)
 class ThumbnailEvidence:
-    """Detector output for the four preview thumbnails of one video."""
+    """Detector output for the four preview thumbnails of one video.
 
-    object_probs: np.ndarray  # 4 x K class probabilities
-    features: np.ndarray  # 4 x D feature rows
+    Each field is given as four equally long rows of numbers (lists, tuples
+    or a 2-D array) and stored as a tuple of tuples of floats.
+    """
+
+    object_probs: tuple[tuple[float, ...], ...]  # 4 x K class probabilities
+    features: tuple[tuple[float, ...], ...]  # 4 x D feature rows
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.object_probs, dtype=np.float64)
-        feats = np.asarray(self.features, dtype=np.float64)
-        if probs.ndim != 2 or probs.shape[0] != _THUMBNAILS:
-            raise ValueError(
-                f"object_probs must have exactly {_THUMBNAILS} rows, "
-                f"got shape {probs.shape}"
-            )
-        if feats.ndim != 2 or feats.shape[0] != _THUMBNAILS:
-            raise ValueError(
-                f"features must have exactly {_THUMBNAILS} rows, got shape {feats.shape}"
-            )
-        if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails too
+        probs = _rows(self.object_probs, "object_probs")
+        feats = _rows(self.features, "features")
+        if not all(0.0 <= p <= 1.0 for row in probs for p in row):  # NaN fails too
             raise ValueError("object probabilities must lie within [0, 1]")
-        if not np.all(np.isfinite(feats)):
+        if not all(map(math.isfinite, chain.from_iterable(feats))):
             raise ValueError("features must be finite")
         object.__setattr__(self, "object_probs", probs)
         object.__setattr__(self, "features", feats)
+
+
+def _rows(value, name: str) -> tuple[tuple[float, ...], ...]:
+    """``value`` as ``_THUMBNAILS`` equally long rows of floats."""
+    rows = tuple(tuple(map(float, row)) for row in value)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{name} rows must be equally long")
+    if len(rows) != _THUMBNAILS:
+        shape = (len(rows), len(rows[0])) if rows else (0,)  # numpy's spelling of it
+        raise ValueError(f"{name} must have exactly {_THUMBNAILS} rows, got shape {shape}")
+    return rows
 
 
 def metadata_gate(meta, max_duration_s: float = 1200.0) -> FilterDecision:
@@ -91,17 +99,27 @@ def metadata_gate(meta, max_duration_s: float = 1200.0) -> FilterDecision:
     return _ACCEPT
 
 
-def mean_pairwise_cosine(features: np.ndarray) -> float:
-    """Mean cosine similarity over all unordered row pairs."""
-    feats = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(feats, axis=1)
-    if np.any(norms == 0.0):
-        row = int(np.nonzero(norms == 0.0)[0][0])
-        raise ValueError(f"feature row {row} has zero norm")
-    unit = feats / norms[:, None]
-    sims = unit @ unit.T
-    idx_a, idx_b = np.triu_indices(feats.shape[0], k=1)
-    return float(sims[idx_a, idx_b].mean())
+def _norm(row: tuple[float, ...]) -> float:
+    try:
+        return math.sqrt(math.fsum(x * x for x in row))
+    except OverflowError:  # finite squares whose sum is not: infinite, as in numpy
+        return math.inf
+
+
+def mean_pairwise_cosine(features) -> float:
+    """Mean cosine similarity over all unordered row pairs.
+
+    Norms and dot products are correctly rounded sums (``math.fsum``); the
+    mean adds the cosines left to right, as numpy sums a few values (``sum``
+    compensates from Python 3.12 on).  Fewer than two rows give NaN.
+    """
+    rows = [tuple(map(float, row)) for row in features]
+    norms = [_norm(row) for row in rows]
+    if 0.0 in norms:
+        raise ValueError(f"feature row {norms.index(0.0)} has zero norm")
+    unit = [[x / norm for x in row] for row, norm in zip(rows, norms)]
+    sims = [math.fsum(map(mul, a, b)) for a, b in combinations(unit, 2)]
+    return reduce(add, sims, 0.0) / len(sims) if sims else math.nan
 
 
 def thumbnail_gate(
@@ -119,11 +137,11 @@ def thumbnail_gate(
     rejected when the mean pairwise cosine similarity of the four feature
     rows exceeds ``sim_threshold``.
     """
-    hits = ev.object_probs >= prob_threshold
+    hits = [[p >= prob_threshold for p in row] for row in ev.object_probs]
     if distinct_classes:
-        count = int(hits.any(axis=0).sum())
+        count = sum(map(any, zip(*hits)))
     else:
-        count = int(hits.sum())
+        count = sum(map(sum, hits))
     if count < min_objects:
         return FilterDecision(REASON_TOO_FEW_OBJECTS)
     if mean_pairwise_cosine(ev.features) > sim_threshold:

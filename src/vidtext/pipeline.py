@@ -104,9 +104,9 @@ class RunManifest:
         }
 
 
-def _init_worker(cfg: PipelineConfig) -> None:
+def _init_worker(cfg: PipelineConfig, tokenizer) -> None:
     global _worker
-    _worker = (cfg, load_tokenizer(cfg.tokenizer_path))
+    _worker = (cfg, tokenizer)
 
 
 def decode_line(raw: str | bytes) -> dict[str, Any]:
@@ -243,14 +243,15 @@ def _numbered_video_line(item: tuple[int, Any]) -> tuple[int, Outcome]:
 
 
 def _result_stream(
-    numbered: Iterator[tuple[int, Any]], cfg: PipelineConfig, jobs: int
+    numbered: Iterator[tuple[int, Any]], cfg: PipelineConfig, tokenizer, jobs: int
 ) -> Iterator[tuple[int, Outcome]]:
     if jobs <= 1:
-        tok = load_tokenizer(cfg.tokenizer_path)
-        yield from ((lineno, process_video_line(raw, cfg, tok)) for lineno, raw in numbered)
+        yield from ((lineno, process_video_line(raw, cfg, tokenizer)) for lineno, raw in numbered)
         return
+    # The workers get the parent's tokenizer: a pool whose initializer raises
+    # starts new workers for ever.
     with multiprocessing.Pool(
-        processes=jobs, initializer=_init_worker, initargs=(cfg,)
+        processes=jobs, initializer=_init_worker, initargs=(cfg, tokenizer)
     ) as pool:
         yield from pool.imap(_numbered_video_line, numbered, chunksize=_CHUNKSIZE)
 
@@ -271,18 +272,24 @@ def write_examples(
     return stats
 
 
+def check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def run_pipeline(
     config: PipelineConfig,
     input_fp: IO[str],
     output_fp: IO[str],
     jobs: int = 1,
+    tokenizer=None,
 ) -> RunManifest:
     """Drive the full filter -> segment -> pack pipeline over JSONL streams.
 
-    Each data error gets a ``note_skip`` in input order; the manifest keeps
-    the first 10 messages."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    Without a tokenizer this loads the config's.  Each data error gets a
+    ``note_skip`` in input order; the manifest keeps the first 10 messages."""
+    check_jobs(jobs)
+    tok = tokenizer if tokenizer is not None else load_tokenizer(config.tokenizer_path)
     manifest = RunManifest(config=config.to_json(), config_sha256=config.sha256())
 
     def note(lineno: int, message: str) -> None:
@@ -291,7 +298,7 @@ def run_pipeline(
             manifest.error_samples.append(message)
 
     tally: Counter = Counter()
-    results = _result_stream(numbered_lines(input_fp), config, jobs)
+    results = _result_stream(numbered_lines(input_fp), config, tok, jobs)
 
     def accepted_records() -> Iterator[VideoRecord]:
         for status, payload in outcomes(results, note, tally):

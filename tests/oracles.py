@@ -361,3 +361,27 @@ def mean_cosine_reference(rows: np.ndarray) -> float:
                 float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
             )
     return float(np.mean(sims))
+
+
+def numpy_mean_cosine(features) -> float:
+    """The thumbnail gate's mean cosine as numpy computes it: row norms,
+    unit rows, ``unit @ unit.T`` and the mean of its upper triangle."""
+    feats = np.asarray(features, dtype=np.float64)
+    unit = feats / np.linalg.norm(feats, axis=1)[:, None]
+    sims = unit @ unit.T
+    return float(sims[np.triu_indices(len(feats), k=1)].mean())
+
+
+def numpy_thumbnail_reason(
+    probs, features, prob_threshold, min_objects, sim_threshold, distinct_classes
+) -> str:
+    """The thumbnail gate's reason in numpy: count the (thumbnail, class)
+    cells, or the classes, at or above ``prob_threshold``, then compare
+    ``numpy_mean_cosine`` with ``sim_threshold``."""
+    hits = np.asarray(probs, dtype=np.float64) >= prob_threshold
+    count = int(hits.any(axis=0).sum()) if distinct_classes else int(hits.sum())
+    if count < min_objects:
+        return "too_few_objects"
+    if numpy_mean_cosine(features) > sim_threshold:
+        return "static_visuals"
+    return "passed"

@@ -23,13 +23,73 @@ def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
-def test_importing_the_cli_loads_no_scipy():
+def _python(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports this checkout's vidtext."""
     import vidtext
 
-    code = "import sys, vidtext.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = dict(os.environ, PYTHONPATH=str(Path(vidtext.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, vidtext.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = _python(code)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_streaming_subcommands_load_no_numpy(tmp_path, data_dir):
+    golden, seg = data_dir / "golden_input.jsonl", tmp_path / "seg.jsonl"
+    argvs = [
+        ["filter", "--input", golden, "--output", tmp_path / "filter.jsonl"],
+        ["segment", "--input", golden, "--output", seg],
+        ["pack", "--input", seg, "--output", tmp_path / "pack.jsonl", "--stats", tmp_path / "s"],
+        *(
+            ["run", "--jobs", jobs, "--input", golden, "--output", tmp_path / f"run{jobs}.jsonl",
+             "--manifest", tmp_path / f"m{jobs}.json"]
+            for jobs in ("1", "2")
+        ),
+        ["shape"],
+    ]
+    runs = [list(map(str, argv)) for argv in argvs]
+    code = f"""
+import sys
+import vidtext
+print(sorted(m for m in sys.modules if m.startswith("vidtext")))
+from vidtext.cli import main
+print([main(argv) for argv in {runs!r}])
+print("numpy" in sys.modules)
+"""
+    done = _python(code)
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-2:]) == ("['vidtext']", ["[0, 0, 0, 0, 0, 0]", "False"]), done
+    golden_out = (data_dir / "golden_output.jsonl").read_bytes()
+    assert (tmp_path / "run1.jsonl").read_bytes() == golden_out
+    assert (tmp_path / "run2.jsonl").read_bytes() == golden_out
+
+
+def test_an_unloadable_tokenizer_is_one_fatal_error_at_any_jobs(tmp_path, data_dir):
+    tok = tmp_path / "tok"
+    tok.mkdir()
+    (tok / "vocab.json").write_text("{", encoding="utf-8")
+    (tok / "merges.txt").write_text("", encoding="utf-8")
+    for jobs in ("1", "2"):  # a pool whose workers cannot start would never finish
+        argv = ["run", "--jobs", jobs, "--tokenizer", str(tok),
+                "--input", str(data_dir / "golden_input.jsonl"), "--output", str(tmp_path / "o")]
+        done = _python(f"import sys; from vidtext.cli import main; sys.exit(main({argv!r}))", 60)
+        assert done.returncode == 2, done
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+def test_a_failed_run_start_leaves_the_output_file(capsys, tmp_path, data_dir):
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"earlier output\n")
+    for flags in (["--jobs", "0"], ["--tokenizer", str(tmp_path / "missing")]):
+        argv = ["run", "--input", str(data_dir / "golden_input.jsonl"), "--output", str(out)]
+        code, _, err = run_cli(capsys, argv + flags)
+        assert code == 2 and err.startswith("error: "), err
+        assert out.read_bytes() == b"earlier output\n"
 
 
 def test_shape_defaults(capsys):
@@ -497,6 +557,24 @@ def test_ragged_thumbnail_rows_are_data_errors(capsys, monkeypatch, command):
     code, _, err = run_cli(capsys, [command], line + "\n", monkeypatch)
     assert code == 1
     assert "object_probs[1] has 1 entries, object_probs[0] has 2" in err
+
+
+def test_thumbnail_faults_are_reported_exactly(capsys, monkeypatch, tmp_path):
+    ok = {"object_probs": [[0.9, 0.9]] * 4, "features": [[1.0, 0.0], [0.0, 1.0]] * 2}
+    cases = [
+        (dict(ok, object_probs=[[0.9, 0.9]] * 3),
+         "object_probs must have exactly 4 rows, got shape (3, 2)"),
+        (dict(ok, object_probs=[]), "object_probs must have exactly 4 rows, got shape (0,)"),
+        (dict(ok, object_probs=[[0.9, 1.5]] * 4), "object probabilities must lie within [0, 1]"),
+        (dict(ok, features=[[1.0, float("nan")]] * 4),
+         "features[0][1] must be a finite number, got nan"),
+        (dict(ok, features=[[1.0, 0.0], [0.0, 0.0]] * 2), "feature row 1 has zero norm"),
+    ]
+    argv = ["run", "--manifest", str(tmp_path / "m.json")]
+    for thumbs, message in cases:
+        line = json.dumps(video_obj(thumbnails=thumbs)) + "\n"
+        code, out, err = run_cli(capsys, argv, line, monkeypatch)
+        assert (code, out, err) == (1, "", f"line 1: skipped (ValueError: {message})\n")
 
 
 def test_pack_validates_every_record_and_skips_non_objects(capsys, monkeypatch):

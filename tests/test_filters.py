@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import mean_cosine_reference
+from oracles import mean_cosine_reference, numpy_mean_cosine, numpy_thumbnail_reason
 from vidtext.filters import (
     REASON_GAMING,
     REASON_NO_ASR,
@@ -118,15 +118,52 @@ def test_mean_pairwise_cosine_rejects_zero_rows():
         mean_pairwise_cosine(features)
 
 
-@given(
-    arrays(
-        np.float64,
-        (4, 6),
-        elements=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
-    ).filter(lambda m: np.all(np.linalg.norm(m, axis=1) > 1e-6))
-)
+_feature_rows = arrays(
+    np.float64, (4, 6), elements=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+).filter(lambda m: np.all(np.linalg.norm(m, axis=1) > 1e-6))
+
+
+@given(_feature_rows)
 @settings(max_examples=100)
 def test_mean_pairwise_cosine_matches_reference(features):
     assert mean_pairwise_cosine(features) == pytest.approx(
         mean_cosine_reference(features), abs=1e-12
     )
+
+
+def test_a_row_whose_squared_norm_overflows_has_an_infinite_norm_as_in_numpy():
+    rows = [[1e154, 1e154], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]  # fsum of the squares overflows
+    with np.errstate(over="ignore"):
+        expected = numpy_mean_cosine(rows)
+    assert mean_pairwise_cosine(rows) == expected
+
+
+def test_evidence_stores_tuples_of_floats():
+    ev = evidence(probs=[[1, 0.5]] * 4, features=np.eye(4, 3))
+    assert ev.object_probs == ((1.0, 0.5),) * 4
+    assert ev.features[0] == (1.0, 0.0, 0.0) and type(ev.features[0][0]) is float
+
+
+@given(
+    probs=arrays(np.float64, (4, 5), elements=st.floats(min_value=0.0, max_value=1.0)),
+    features=_feature_rows,
+    min_objects=st.integers(min_value=1, max_value=21),
+    distinct_classes=st.booleans(),
+    offset=st.one_of(st.floats(-2.0, 2.0), st.floats(-1e-9, 1e-9)),
+    data=st.data(),
+)
+@settings(max_examples=300)
+def test_thumbnail_gate_matches_numpy_reference(
+    probs, features, min_objects, distinct_classes, offset, data
+):
+    # The gate's sums are correctly rounded and numpy's are not, so a mean
+    # cosine within rounding of the threshold may decide either way.
+    cosine = numpy_mean_cosine(features)
+    sim_threshold = cosine + offset
+    assume(abs(cosine - sim_threshold) >= 1e-12)
+    prob_threshold = data.draw(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from(probs.ravel().tolist()))
+    )
+    args = (prob_threshold, min_objects, sim_threshold, distinct_classes)
+    ev = ThumbnailEvidence(object_probs=probs, features=features.tolist())
+    assert thumbnail_gate(ev, *args).reason == numpy_thumbnail_reason(probs, features, *args)
