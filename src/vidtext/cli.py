@@ -7,11 +7,19 @@ Stages read and write line-delimited JSON so they compose through pipes:
 
 Exit codes: 0 success, 1 finished but some records were skipped as data
 errors, 2 fatal (bad usage, unreadable files, invalid config).
+
+``main`` sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller has set it,
+before any subcommand imports numpy.  The subcommands' numpy work is
+elementwise or small matrix products, so the thread per CPU that OpenBLAS
+would start only costs CPU.  Output is byte-identical at any value; a large
+``loss contrastive`` batch may set it higher.  Importing this module leaves
+the environment alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import ExitStack, nullcontext
 from collections import Counter
@@ -546,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when numpy loads
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

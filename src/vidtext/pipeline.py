@@ -21,8 +21,8 @@ streaming subcommand, so ``filter`` decides and reports a line as ``run`` does.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
-import multiprocessing
 import re
 import sys
 from collections import Counter
@@ -248,12 +248,18 @@ def _result_stream(
     if jobs <= 1:
         yield from ((lineno, process_video_line(raw, cfg, tokenizer)) for lineno, raw in numbered)
         return
+    first = next(numbered, None)
+    if first is None:  # an empty input starts no workers
+        return
+    import multiprocessing  # only a pool needs it
+
     # The workers get the parent's tokenizer: a pool whose initializer raises
     # starts new workers for ever.
     with multiprocessing.Pool(
         processes=jobs, initializer=_init_worker, initargs=(cfg, tokenizer)
     ) as pool:
-        yield from pool.imap(_numbered_video_line, numbered, chunksize=_CHUNKSIZE)
+        lines = itertools.chain([first], numbered)
+        yield from pool.imap(_numbered_video_line, lines, chunksize=_CHUNKSIZE)
 
 
 def write_examples(

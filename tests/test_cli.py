@@ -23,11 +23,14 @@ def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
-def _python(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
-    """``code`` run by a fresh interpreter that imports this checkout's vidtext."""
+def _python(code: str, timeout: float = 120, **env_vars: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports this checkout's vidtext,
+    with ``env_vars`` added to the environment and no ``OPENBLAS_NUM_THREADS``
+    unless they name it (``main`` run in this process may have set it)."""
     import vidtext
 
-    env = dict(os.environ, PYTHONPATH=str(Path(vidtext.__file__).parents[1]))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars, PYTHONPATH=str(Path(vidtext.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
     )
@@ -67,6 +70,80 @@ print("numpy" in sys.modules)
     golden_out = (data_dir / "golden_output.jsonl").read_bytes()
     assert (tmp_path / "run1.jsonl").read_bytes() == golden_out
     assert (tmp_path / "run2.jsonl").read_bytes() == golden_out
+
+
+_THREADS = """
+import os, sys
+import vidtext.cli
+before = os.environ.get("OPENBLAS_NUM_THREADS")
+code = vidtext.cli.main(["scramble-plan", "--count", "1"])  # imports numpy
+print(code, "numpy" in sys.modules, before, os.environ["OPENBLAS_NUM_THREADS"])
+print(len(os.listdir("/proc/self/task")))
+"""
+needs_proc_tasks = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(), reason="no /proc/self/task to count threads in"
+)
+
+
+@needs_proc_tasks
+def test_main_runs_numpy_with_one_blas_thread():
+    done = _python(_THREADS)
+    lines = done.stdout.splitlines()
+    # Importing the CLI leaves the variable unset; main sets it before numpy loads.
+    assert lines[1:] == ["0 True None 1", "1"], done
+
+
+@needs_proc_tasks
+def test_main_keeps_a_blas_thread_count_the_caller_set():
+    done = _python(_THREADS, OPENBLAS_NUM_THREADS="2")
+    assert done.stdout.splitlines()[1] == "0 True 2 2", done
+
+
+def test_commands_that_start_no_pool_load_no_multiprocessing(tmp_path, data_dir):
+    golden, seg = data_dir / "golden_input.jsonl", tmp_path / "seg.jsonl"
+    pair = {"noisy": [{"text": "helo", "start_s": 0.0, "end_s": 0.4}], "clean": ["hello"]}
+    (tmp_path / "align.jsonl").write_text(json.dumps(pair) + "\n", encoding="utf-8")
+    table = {"n": 2, "log_probs": [math.log(0.25)] * 16}
+    (tmp_path / "order.jsonl").write_text(json.dumps(table) + "\n", encoding="utf-8")
+    argvs = [
+        ["run", "--jobs", "1", "--input", golden, "--output", tmp_path / "run.jsonl",
+         "--manifest", tmp_path / "m.json"],
+        ["filter", "--input", golden, "--output", tmp_path / "filter.jsonl"],
+        ["segment", "--input", golden, "--output", seg],
+        ["pack", "--input", seg, "--output", tmp_path / "pack.jsonl", "--stats", tmp_path / "s"],
+        ["align", "--input", tmp_path / "align.jsonl", "--output", tmp_path / "a.jsonl"],
+        ["score-order", "--input", tmp_path / "order.jsonl", "--output", tmp_path / "o.jsonl"],
+    ]
+    runs = [list(map(str, argv)) for argv in argvs]
+    code = f"""
+import sys
+sys.modules["multiprocessing"] = None  # importing it now raises ImportError
+from vidtext.cli import main
+print([main(argv) for argv in {runs!r}])
+"""
+    done = _python(code)
+    assert done.stdout.splitlines()[-1:] == ["[0, 0, 0, 0, 0, 0]"], done
+    assert (tmp_path / "run.jsonl").read_bytes() == (data_dir / "golden_output.jsonl").read_bytes()
+
+
+def test_run_on_an_empty_input_starts_no_pool(capsys, monkeypatch, tmp_path):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    results = []
+    for jobs in ("1", "2"):
+        out, manifest = tmp_path / f"out{jobs}.jsonl", tmp_path / f"manifest{jobs}.json"
+        argv = ["run", "--jobs", jobs, "--input", str(empty), "--output", str(out),
+                "--manifest", str(manifest)]
+        code, stdout, err = run_cli(capsys, argv)
+        results.append((code, stdout, err, out.read_bytes(), manifest.read_bytes()))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
 
 
 def test_an_unloadable_tokenizer_is_one_fatal_error_at_any_jobs(tmp_path, data_dir):
