@@ -232,7 +232,9 @@ def _potentials(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cheap = np.flatnonzero((cost[i] == u[i]) & (row_of[:size] == -1))
         if cheap.size:
             row_of[cheap[0]] = i
-    for i in np.setdiff1d(np.arange(size), row_of):
+    assigned = np.zeros(size, dtype=bool)
+    assigned[row_of[row_of >= 0]] = True
+    for i in np.flatnonzero(~assigned):
         row_of[size], j0 = i, size
         dist, prev = np.full(size + 1, np.inf), np.full(size + 1, size)
         used = np.zeros(size + 1, dtype=bool)

@@ -10,6 +10,7 @@ from oracles import (
     exhaustive_alignment_cost,
     levenshtein_recursive,
 )
+from vidtext._kernels import FILL_BLOCK, ROW_BLOCK
 from vidtext.align import align_and_time, dtw_align, levenshtein, transfer_timing
 from vidtext.model import TimedWord
 
@@ -55,9 +56,10 @@ def test_alignment_cost_matches_exhaustive_search(noisy, clean):
 
 
 def _loop_path(noisy, clean):
-    """The alignment path from per-cell oracles and the same backtrack."""
-    cost = np.array([[levenshtein_recursive(a, b) for b in clean] for a in noisy])
-    _, step = alignment_fill_loop(cost)
+    """The alignment path and its cost from per-cell oracles and the same backtrack."""
+    pair = {(a, b): levenshtein_recursive(a, b) for a in set(noisy) for b in set(clean)}
+    cost = np.array([[pair[a, b] for b in clean] for a in noisy])
+    acc, step = alignment_fill_loop(cost)
     i, j = len(noisy) - 1, len(clean) - 1
     rev = [(i, j)]
     while (i, j) != (0, 0):
@@ -68,7 +70,7 @@ def _loop_path(noisy, clean):
         else:
             i -= 1
         rev.append((i, j))
-    return tuple(reversed(rev))
+    return tuple(reversed(rev)), int(acc[-1, -1])
 
 
 @given(
@@ -79,7 +81,33 @@ def _loop_path(noisy, clean):
 def test_alignment_pairs_match_loop_oracle(noisy, clean):
     # Short words from a small pool make many tied paths, so the pairs
     # check the tie order, which the total cost alone does not.
-    assert dtw_align(noisy, clean).pairs == _loop_path(noisy, clean)
+    assert dtw_align(noisy, clean).pairs == _loop_path(noisy, clean)[0]
+
+
+def _zipf_pair(seed, words):
+    """A clean word list drawn Zipf-like from a small vocabulary, and a noisy
+    copy with words dropped, edited and inserted."""
+    rng = np.random.default_rng(seed)
+    letters = list("abcde\u00e9\U0001f600")
+    vocab = ["".join(rng.choice(letters, size=rng.integers(1, 10))) for _ in range(500)]
+    clean = [vocab[(k - 1) % len(vocab)] for k in rng.zipf(1.2, size=words)]
+    noisy = []
+    for w in clean:
+        r = rng.random()
+        if r >= 0.08:  # else dropped
+            noisy.append(w[1:] + "x" if r < 0.23 else w)
+        if rng.random() < 0.08:
+            noisy.append(vocab[rng.integers(len(vocab))])
+    return noisy, clean
+
+
+def test_a_long_zipf_pair_matches_the_composed_oracles():
+    noisy, clean = _zipf_pair(7, 300)
+    # Past one block of row types in the pair-cost kernel and one block of
+    # rows in the fill.
+    assert len(set(noisy)) > ROW_BLOCK and len(noisy) > FILL_BLOCK // len(clean)
+    alignment = dtw_align(noisy, clean)
+    assert (alignment.pairs, alignment.total_cost) == _loop_path(noisy, clean)
 
 
 @given(st.lists(word, min_size=1, max_size=6), st.lists(word, min_size=1, max_size=6))

@@ -99,6 +99,26 @@ def test_main_keeps_a_blas_thread_count_the_caller_set():
     assert done.stdout.splitlines()[1] == "0 True 2 2", done
 
 
+def test_score_order_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 17 ms of start-up; np.setdiff1d and np.unique import it.
+    rng = np.random.default_rng(0)
+    lines = []
+    for n, classes in ((3, 4), (6, 4), (5, 2)):
+        logits = rng.normal(size=(n, n, classes))
+        log_probs = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+        lines.append(json.dumps({"n": n, "classes": classes, "log_probs": log_probs.ravel().tolist()}))
+    (tmp_path / "order.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["score-order", "--input", str(tmp_path / "order.jsonl"), "--output", str(tmp_path / "o.jsonl")]
+    code = f"""
+import sys
+from vidtext.cli import main
+print(main({argv!r}), "numpy.ma" in sys.modules)
+"""
+    done = _python(code)
+    assert done.stdout.splitlines()[-1:] == ["0 False"], done
+    assert len((tmp_path / "o.jsonl").read_text(encoding="utf-8").splitlines()) == 3
+
+
 def test_commands_that_start_no_pool_load_no_multiprocessing(tmp_path, data_dir):
     golden, seg = data_dir / "golden_input.jsonl", tmp_path / "seg.jsonl"
     pair = {"noisy": [{"text": "helo", "start_s": 0.0, "end_s": 0.4}], "clean": ["hello"]}

@@ -3,7 +3,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import alignment_fill_loop, levenshtein_recursive
-from vidtext._kernels import alignment_fill, encode_words, pair_cost_matrix
+from vidtext._kernels import (
+    FILL_BLOCK,
+    ROW_BLOCK,
+    _type_distances,
+    _word_types,
+    alignment_fill,
+    encode_words,
+    pair_cost_matrix,
+)
 
 words = st.text(
     alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=0, max_size=8
@@ -13,6 +21,10 @@ words = st.text(
 short_words = st.text(alphabet="abé\U0001f600", max_size=6)
 long_words = st.text(alphabet="ab\U0001f600", min_size=65, max_size=70)
 LONG = "ab\U0001f600" * 23
+# More distinct row types than one ROW_BLOCK, of every length from 0 to 70 in
+# a shuffled order, some repeated.
+MANY = [("ab\u00e9\U0001f600" * 18)[: (37 * k) % 71] for k in range(71)]
+MANY += MANY[:5]
 
 
 def _levenshtein(a: str, b: str) -> int:
@@ -70,12 +82,23 @@ def test_pair_cost_matrix_cells():
 
 @given(word_lists(), word_lists())
 @example([LONG, "", "a", LONG], ["ab", LONG + "a", "", "ab"])
+@example(MANY, ["", "b\U0001f600", LONG, "\u00e9ab"])
 @settings(max_examples=100, deadline=None)
 def test_pair_cost_matrix_matches_recursive_oracle(noisy, clean):
     cost = pair_cost_matrix(*encode_words(noisy), *encode_words(clean))
     expected = [[levenshtein_recursive(a, b) for b in clean] for a in noisy]
     assert cost.shape == (len(noisy), len(clean))
     assert cost.tolist() == expected
+
+
+def test_type_distances_in_int64_equal_int32():
+    # pair_cost_matrix takes int64 only when the offsets outgrow int32.
+    assert len(set(MANY)) > ROW_BLOCK
+    a_types, _ = _word_types(*encode_words(MANY))
+    b_types, _ = _word_types(*encode_words(["", "b\U0001f600", LONG, "\u00e9ab", "a"]))
+    wide = _type_distances(a_types, b_types, np.int64)
+    np.testing.assert_array_equal(wide, _type_distances(a_types, b_types, np.int32))
+    assert wide.dtype == np.int32
 
 
 def test_kernel_dtypes():
@@ -95,6 +118,11 @@ def test_alignment_fill_prefers_diagonal_on_ties():
     assert step[1, 1] == 0 and step[2, 2] == 0
 
 
+def _random_costs(seed, n, m):
+    """Seeded {0, 1} costs, with many ties."""
+    return np.random.default_rng(seed).integers(0, 2, size=(n, m), dtype=np.int32)
+
+
 @st.composite
 def cost_matrices(draw):
     """Costs of 1-8 x 1-8 cells; {0, 1} costs make most predecessors tie."""
@@ -108,6 +136,10 @@ def cost_matrices(draw):
 @example(np.array([[3]], dtype=np.int32))
 @example(np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=np.int32))
 @example(np.array([[1], [0], [1], [1], [0], [0], [1]], dtype=np.int32))
+# More rows than one block of FILL_BLOCK cells, as n x m, 1 x m and n x 1.
+@example(_random_costs(1, FILL_BLOCK // 500 + 9, 500))
+@example(_random_costs(2, 1, FILL_BLOCK + 9))
+@example(_random_costs(3, FILL_BLOCK + 9, 1))
 @settings(max_examples=300)
 def test_alignment_fill_matches_loop_oracle(cost):
     acc, step = alignment_fill(cost)
