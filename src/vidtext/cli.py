@@ -23,41 +23,30 @@ import os
 import sys
 from contextlib import ExitStack, nullcontext
 from collections import Counter
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, Callable, Iterator, Sequence
 
-# Only the streaming subcommands' modules are imported here, and they need no
-# numpy; every other handler imports what it uses in its own body.
+# Only what every subcommand uses is imported here; each handler imports the
+# rest in its own body, and only the subcommand that runs gets its flags, so
+# ``score-order`` and ``align`` load no config, pipeline or tokenizer module.
 from . import __version__
-from .config import FIELD_KINDS, SHAPE_FIELDS, PipelineConfig, resolve_config
 from .model import (
+    ACCEPTED,
+    DATA_ERRORS,
+    ERROR,
     SCHEMA_VERSION,
+    decode_line,
     dump_line,
+    line_outcome,
     list_field,
+    note_skip,
     numbered_lines,
+    outcomes,
     record_to_json,
     typed_field,
     typed_list,
     word_from_json,
     write_jsonl,
 )
-from .pipeline import (
-    ACCEPTED,
-    DATA_ERRORS,
-    ERROR,
-    apply_gates,
-    check_jobs,
-    decode_line,
-    decode_record,
-    decode_video,
-    line_outcome,
-    note_skip,
-    outcomes,
-    run_pipeline,
-    segment_video,
-    write_examples,
-)
-from .segmenting import sequence_shape
-from .tokenizers import load_tokenizer
 
 _ORDER_SEARCHES = ("best_ordering", "best_frame_ordering")
 
@@ -119,6 +108,8 @@ def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
     ``--<field-with-dashes>`` unless ``_FLAG_SPELLINGS`` says otherwise and parsed
     to the field's type.  A bool field is a switch away from its default.  Flags
     default to None, so only the flags given override the config file."""
+    from .config import FIELD_KINDS, PipelineConfig
+
     p.add_argument("--config", help="JSON config file; flags override it")
     for name in ("seed", *names):
         flag = _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
@@ -147,8 +138,11 @@ def _write_report(path: str | None, obj: dict[str, Any]) -> None:
         fp.write(dump_line(obj) + "\n")
 
 
-def _config_from_args(args) -> PipelineConfig:
-    """The ``--config`` file, overridden by every given flag named after a field."""
+def _config_from_args(args):
+    """The ``--config`` file, overridden by every given flag named after a field,
+    as a ``PipelineConfig``."""
+    from .config import PipelineConfig, resolve_config
+
     fields = PipelineConfig.__dataclass_fields__
     overrides = {k: v for k, v in vars(args).items() if k in fields}
     return resolve_config(getattr(args, "config", None), overrides)
@@ -159,6 +153,8 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def _cmd_filter(args) -> int:
+    from .pipeline import apply_gates, decode_video
+
     cfg = _config_from_args(args)
 
     def decide(obj: Any) -> dict[str, Any]:
@@ -187,6 +183,7 @@ def _cmd_align(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     from .corruption import PronunciationTable, corrupt_document, derive_seed
+    from .tokenizers import load_tokenizer
 
     cfg = _config_from_args(args)
     table = (
@@ -206,6 +203,9 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    from .pipeline import decode_video, segment_video
+    from .tokenizers import load_tokenizer
+
     cfg = _config_from_args(args)
     tokenizer = load_tokenizer(cfg.tokenizer_path)
 
@@ -227,6 +227,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_pack(args) -> int:
+    from .pipeline import decode_record, write_examples
+
     cfg = _config_from_args(args)
 
     def write(fout: IO[str], records: Iterator[Any]) -> None:
@@ -381,6 +383,8 @@ def _cmd_eval_story(args) -> int:
 
 
 def _cmd_shape(args) -> int:
+    from .segmenting import sequence_shape
+
     shape = sequence_shape(_config_from_args(args))
     print(dump_line({"schema_version": SCHEMA_VERSION, **vars(shape)}))
     return 0
@@ -399,6 +403,9 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .pipeline import check_jobs, run_pipeline
+    from .tokenizers import load_tokenizer
+
     cfg = _config_from_args(args)
     check_jobs(args.jobs)  # fatal faults first: opening --output truncates it
     tokenizer = load_tokenizer(cfg.tokenizer_path)
@@ -443,119 +450,118 @@ def _cmd_scramble_plan(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  With ``argv``, only the subcommand it
+    names gets its flags; every subcommand is listed with its help either way."""
     parser = argparse.ArgumentParser(
         prog="vidtext",
         description="Video-transcript corpus construction and objective kernels.",
     )
     parser.add_argument("--version", action="version", version=f"vidtext {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The subcommand is argv's first word that is not an option: no option before it takes a value.
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
 
-    p = sub.add_parser("filter", help="apply retention gates to evidence records")
-    _add_io_flags(p)
-    _add_config_flags(p, *_GATES)
-    p.set_defaults(func=_cmd_filter)
+    def command(name: str, help: str, func: Callable) -> argparse.ArgumentParser | None:
+        """The subparser of ``name`` if it gets its flags, else None."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p if named in (None, name) else None
 
-    p = sub.add_parser("align", help="align noisy timed words to clean words")
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_align)
+    if p := command("filter", "apply retention gates to evidence records", _cmd_filter):
+        _add_io_flags(p)
+        _add_config_flags(p, *_GATES)
 
-    p = sub.add_parser("corrupt", help="synthesize noisy transcripts")
-    _add_io_flags(p)
-    p.add_argument("--pronounce-dict", help="CMU-format pronunciation dictionary")
-    _add_config_flags(p, "replace_prob", "homophone_share", "filler_prob", "tokenizer_path")
-    p.set_defaults(func=_cmd_corrupt)
+    if p := command("align", "align noisy timed words to clean words", _cmd_align):
+        _add_io_flags(p)
 
-    p = sub.add_parser("segment", help="turn timed words into token segments")
-    _add_io_flags(p)
-    _add_config_flags(p, "tokens_per_segment", "tokenizer_path")
-    p.add_argument("--frame-manifest", help="also write (video_id, frame_time_s) JSONL")
-    p.set_defaults(func=_cmd_segment)
+    if p := command("corrupt", "synthesize noisy transcripts", _cmd_corrupt):
+        _add_io_flags(p)
+        p.add_argument("--pronounce-dict", help="CMU-format pronunciation dictionary")
+        _add_config_flags(p, "replace_prob", "homophone_share", "filler_prob", "tokenizer_path")
 
-    p = sub.add_parser("pack", help="pack segment streams into fixed-size examples")
-    _add_io_flags(p)
-    _add_config_flags(p, "segments_per_example", "cross_video")
-    p.add_argument("--stats", help="write packing stats JSON here instead of stderr")
-    p.set_defaults(func=_cmd_pack)
+    if p := command("segment", "turn timed words into token segments", _cmd_segment):
+        _add_io_flags(p)
+        _add_config_flags(p, "tokens_per_segment", "tokenizer_path")
+        p.add_argument("--frame-manifest", help="also write (video_id, frame_time_s) JSONL")
 
-    p = sub.add_parser("mask", help="plan and apply span masking")
-    _add_io_flags(p)
-    _add_config_flags(p, "mask_rate", "attended_share", "span_mean", "top_frac")
-    p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--mask-id", type=int, required=True)
-    p.add_argument(
-        "--special-id",
-        type=int,
-        action="append",
-        help="token id excluded from random replacements; repeatable",
-    )
-    p.set_defaults(func=_cmd_mask)
+    if p := command("pack", "pack segment streams into fixed-size examples", _cmd_pack):
+        _add_io_flags(p)
+        _add_config_flags(p, "segments_per_example", "cross_video")
+        p.add_argument("--stats", help="write packing stats JSON here instead of stderr")
 
-    p = sub.add_parser("loss", help="compute a loss from array files")
-    p.set_defaults(func=_cmd_loss)
-    loss_sub = p.add_subparsers(dest="loss_kind", required=True)
-    q = loss_sub.add_parser("contrastive")
-    q.add_argument("--frames", required=True)
-    q.add_argument("--captions", required=True)
-    q.add_argument("--tau", type=float, default=0.05)
-    q.add_argument("--row-only", action="store_true")
-    q.add_argument("--grads-out", help="write analytic gradients to this .npz")
-    q = loss_sub.add_parser("mlm")
-    q.add_argument("--logits", required=True)
-    q.add_argument("--labels", required=True)
-    q = loss_sub.add_parser("order")
-    q.add_argument("--pairs", required=True, help="rows of concatenated (h_i, h_j)")
-    q.add_argument("--classes", required=True)
-    q.add_argument("--params", required=True, help=".npz with w1, b1, w2, b2")
-    q.add_argument("--activation", default="gelu")
-    q = loss_sub.add_parser("combine")
-    q.add_argument("--mlm", type=float, required=True)
-    q.add_argument("--contrastive", type=float, required=True)
-    q.add_argument("--ordering", type=float, required=True)
-    q.add_argument("--coeff", type=float, default=0.25)
+    if p := command("mask", "plan and apply span masking", _cmd_mask):
+        _add_io_flags(p)
+        _add_config_flags(p, "mask_rate", "attended_share", "span_mean", "top_frac")
+        p.add_argument("--vocab-size", type=int, required=True)
+        p.add_argument("--mask-id", type=int, required=True)
+        p.add_argument(
+            "--special-id",
+            type=int,
+            action="append",
+            help="token id excluded from random replacements; repeatable",
+        )
 
-    p = sub.add_parser("score-order", help="best permutation per relation table")
-    _add_io_flags(p)
-    p.set_defaults(func=_cmd_score_order)
+    if p := command("loss", "compute a loss from array files", _cmd_loss):
+        loss_sub = p.add_subparsers(dest="loss_kind", required=True)
+        q = loss_sub.add_parser("contrastive")
+        q.add_argument("--frames", required=True)
+        q.add_argument("--captions", required=True)
+        q.add_argument("--tau", type=float, default=0.05)
+        q.add_argument("--row-only", action="store_true")
+        q.add_argument("--grads-out", help="write analytic gradients to this .npz")
+        q = loss_sub.add_parser("mlm")
+        q.add_argument("--logits", required=True)
+        q.add_argument("--labels", required=True)
+        q = loss_sub.add_parser("order")
+        q.add_argument("--pairs", required=True, help="rows of concatenated (h_i, h_j)")
+        q.add_argument("--classes", required=True)
+        q.add_argument("--params", required=True, help=".npz with w1, b1, w2, b2")
+        q.add_argument("--activation", default="gelu")
+        q = loss_sub.add_parser("combine")
+        q.add_argument("--mlm", type=float, required=True)
+        q.add_argument("--contrastive", type=float, required=True)
+        q.add_argument("--ordering", type=float, required=True)
+        q.add_argument("--coeff", type=float, default=0.25)
 
-    p = sub.add_parser("eval-story", help="unscramble stories and report metrics")
-    p.add_argument("--tables", required=True)
-    p.add_argument("--truths", required=True)
-    p.add_argument("--footrule", action="store_true", help="sum displacement, not mean")
-    p.set_defaults(func=_cmd_eval_story)
+    if p := command("score-order", "best permutation per relation table", _cmd_score_order):
+        _add_io_flags(p)
 
-    p = sub.add_parser("shape", help="print derived sequence shapes")
-    _add_config_flags(p, *SHAPE_FIELDS)
-    p.set_defaults(func=_cmd_shape)
+    if p := command("eval-story", "unscramble stories and report metrics", _cmd_eval_story):
+        p.add_argument("--tables", required=True)
+        p.add_argument("--truths", required=True)
+        p.add_argument("--footrule", action="store_true", help="sum displacement, not mean")
 
-    p = sub.add_parser("selfcheck", help="run the embedded release checks")
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--patch", type=int, default=16)
-    p.set_defaults(func=_cmd_selfcheck)
+    if p := command("shape", "print derived sequence shapes", _cmd_shape):
+        from .config import SHAPE_FIELDS
 
-    p = sub.add_parser("run", help="full pipeline: filter, segment, pack")
-    _add_io_flags(p)
-    p.add_argument("--manifest", help="write the run manifest JSON here")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    segmenting = ("tokenizer_path", "tokens_per_segment", "segments_per_example", "cross_video")
-    _add_config_flags(p, *segmenting, *_GATES)
-    p.set_defaults(func=_cmd_run)
+        _add_config_flags(p, *SHAPE_FIELDS)
 
-    p = sub.add_parser(
-        "scramble-plan", help="sample frame-scrambling schedules (training helper)"
-    )
-    p.add_argument("--segments", type=int, default=16)
-    p.add_argument("--prob", type=float, default=0.4)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_scramble_plan)
+    if p := command("selfcheck", "run the embedded release checks", _cmd_selfcheck):
+        p.add_argument("--tau", type=float, default=0.05)
+        p.add_argument("--patch", type=int, default=16)
+
+    if p := command("run", "full pipeline: filter, segment, pack", _cmd_run):
+        _add_io_flags(p)
+        p.add_argument("--manifest", help="write the run manifest JSON here")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        segmenting = ("tokenizer_path", "tokens_per_segment", "segments_per_example", "cross_video")
+        _add_config_flags(p, *segmenting, *_GATES)
+
+    if p := command(
+        "scramble-plan", "sample frame-scrambling schedules (training helper)", _cmd_scramble_plan
+    ):
+        p.add_argument("--segments", type=int, default=16)
+        p.add_argument("--prob", type=float, default=0.4)
+        p.add_argument("--count", type=int, default=1)
+        p.add_argument("--seed", type=int, default=None)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when numpy loads
-    args = build_parser().parse_args(argv)
+    args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

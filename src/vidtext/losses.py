@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .masking import LABEL_SENTINEL
+from .ordering import logsumexp
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -22,21 +23,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def _erf(x: np.ndarray) -> np.ndarray:
     """``math.erf`` per element of a float64 array."""
     return np.fromiter(map(math.erf, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
-
-
-def logsumexp(a, axis=None, keepdims: bool = False):
-    """``log(sum(exp(a)))`` over ``axis`` by scipy 1.17's formula, bit for bit:
-    the maxima are counted apart from the rest, which is shifted by the max (by 0
-    where the max is not finite), and the result is
-    ``log1p(rest / count) + log(count) + max``."""
-    a = np.asarray(a, dtype=np.float64)
-    top = a.max(axis=axis, keepdims=True)
-    ties = a == top
-    count = ties.sum(axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    rest = np.exp(np.where(ties, -np.inf, a) - shift).sum(axis=axis, keepdims=True)
-    out = np.log1p(rest / count) + np.log(count) + top
-    return (out if keepdims else np.squeeze(out, axis=axis))[()]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import attrgetter, itemgetter, lt, mul, truediv
@@ -446,3 +448,79 @@ def numbered_lines(fp: IO) -> Iterator[tuple[int, Any]]:
         line = line.strip()
         if line:
             yield lineno, line
+
+
+# ---------------------------------------------------------------------------
+# The line driver, shared by every streaming subcommand
+#
+# ``decode_line`` applies the line rules of every reader; ``line_outcome``,
+# ``outcomes`` and ``note_skip`` turn each numbered line into one outcome and
+# report its data errors, so ``filter`` decides and reports a line as ``run`` does.
+
+ACCEPTED, REJECTED, ERROR = "accepted", "rejected", "error"
+Outcome = tuple[str, Any]  # (status, payload): a record, a reject reason or a message
+# What a malformed line can raise; each becomes a data error, never a
+# traceback.  json.JSONDecodeError and UnicodeDecodeError are ValueErrors.
+# ``decode_line`` turns the parser's RecursionError into a ValueError; it stays
+# here for code that walks a record nested nearly as deep as the parser allows.
+DATA_ERRORS = (ValueError, TypeError, KeyError, OverflowError, RecursionError)
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def decode_line(raw: str | bytes) -> dict[str, Any]:
+    """One input line as a JSON object of the supported schema version.
+
+    A byte line must be UTF-8, optionally after a BOM, and no string in the
+    line may hold a lone surrogate such as the escape ``"\\ud800"``: it does
+    not encode back to UTF-8.  Any failure raises one of ``DATA_ERRORS``; an
+    integer too long for ``int`` and nesting too deep for the parser raise a
+    ``ValueError`` that says so.
+    """
+    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other ValueError the parser raises is int's
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"integer of more than {limit} digits") from None
+    if _SURROGATE_ESCAPE.search(text):  # only an escape puts a surrogate in UTF-8
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    if not isinstance(obj, dict):
+        raise ValueError("line must hold a JSON object")
+    version = obj.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:  # the string "1": the integer 1 is another version
+        raise ValueError(f"unsupported schema_version {version!r}")
+    return obj
+
+
+def line_outcome(handle: Callable[..., Outcome], raw: str | bytes, *args) -> Outcome:
+    """``handle(decode_line(raw), *args)``, or ("error", message) on a data error."""
+    try:
+        return handle(decode_line(raw), *args)
+    except DATA_ERRORS as e:
+        return ERROR, f"{type(e).__name__}: {e}"
+
+
+def note_skip(lineno: int, message: str) -> None:
+    """The stderr note for a line skipped as a data error."""
+    print(f"line {lineno}: skipped ({message})", file=sys.stderr)
+
+
+def outcomes(
+    results: Iterable[tuple[int, Outcome]],
+    on_error: Callable[[int, str], None],
+    tally: Counter,
+) -> Iterator[Outcome]:
+    """Every numbered outcome, counted in ``tally`` by status, in input order.
+
+    A data error goes to ``on_error(lineno, message)`` instead of being yielded.
+    """
+    for lineno, (status, payload) in results:
+        tally[status] += 1
+        if status == ERROR:
+            on_error(lineno, payload)
+        else:
+            yield status, payload

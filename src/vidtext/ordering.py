@@ -20,14 +20,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import logsumexp
-
 CLASS_SAME = 0
 CLASS_BEFORE = 1  # caption precedes the frame
 CLASS_AFTER = 2
 CLASS_DIFFERENT = 3
 
 MAX_FRAMES = 16  # best_frame_ordering's subset table holds 2^n * n values
+
+
+def logsumexp(a, axis=None, keepdims: bool = False):
+    """``log(sum(exp(a)))`` over ``axis`` by scipy 1.17's formula, bit for bit:
+    the maxima are counted apart from the rest, which is shifted by the max (by 0
+    where the max is not finite), and the result is
+    ``log1p(rest / count) + log(count) + max``."""
+    a = np.asarray(a, dtype=np.float64)
+    top = a.max(axis=axis, keepdims=True)
+    ties = a == top
+    count = ties.sum(axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    rest = np.exp(np.where(ties, -np.inf, a) - shift).sum(axis=axis, keepdims=True)
+    out = np.log1p(rest / count) + np.log(count) + top
+    return (out if keepdims else np.squeeze(out, axis=axis))[()]
 
 
 def check_permutation(sigma: Sequence[int], n: int) -> tuple[int, ...]:
@@ -180,11 +193,60 @@ def frame_order_score(two_way: np.ndarray, sigma: Sequence[int]) -> float:
     return float(total)
 
 
+def _frame_slot_optima(gains: np.ndarray, slot_of: dict[int, int]) -> tuple[float, np.ndarray]:
+    """The best score, and ``at[s, e]``, the best score with frame e at slot s, over
+    the orders that keep each frame of ``slot_of`` at its slot.
+
+    A set of frames can fill the first s slots when it holds the fixed frames of
+    those slots and free frames for the rest; only such sets are visited.  One
+    pass forward gives ``head[S]``, the best score of S in the first slots, one
+    pass backward ``tail[S]``, the best score of the other frames after them, and
+    ``at[s, e]`` is the best ``head[S] + gains[S, e] + tail[S + e]`` over |S| = s.
+    Each pass flips every frame's bit of every set it visits.  A flip that leads
+    to a set no order of the fixed frames can fill, or to a layer not yet
+    visited, reads -inf.  ``gains[S + e, e]`` equals ``gains[S, e]`` bit for bit,
+    as it only leaves out the zero ``ahead[e, e]``.
+    """
+    n = gains.shape[1]
+    frame_at = {s: e for e, s in slot_of.items()}
+    subsets = size = np.zeros(1, dtype=np.int64)  # every set of free frames, and its size
+    for e in range(n):
+        if e not in slot_of:
+            subsets = np.concatenate([subsets, subsets | 1 << e])
+            size = np.concatenate([size, size + 1])
+    layers, fixed, k = [], 0, 0  # layers[s]: the sets that can fill slots 0..s-1
+    for s in range(n + 1):
+        layers.append(fixed | subsets[size == s - k])  # k fixed frames sit before slot s
+        if s in frame_at:
+            fixed, k = fixed | 1 << frame_at[s], k + 1
+    bits = 1 << np.arange(n)
+    head = np.full(1 << n, -np.inf)
+    head[0] = 0.0
+    for sets in layers[1:]:  # head[S + e] = best head[S] + gains[S, e]
+        head[sets] = (head[sets[:, None] ^ bits] + gains[sets]).max(axis=1)
+    tail = np.full(1 << n, -np.inf)
+    tail[-1] = 0.0
+    at = np.full((n, n), -np.inf)
+    for s in reversed(range(n)):
+        sets = layers[s]
+        through = gains[sets] + tail[sets[:, None] ^ bits]
+        tail[sets] = through.max(axis=1)
+        at[s] = (head[sets][:, None] + through).max(axis=0)
+    return float(head[-1]), at
+
+
 def best_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Exact argmax of ``frame_order_score`` for n up to ``MAX_FRAMES``, by dynamic
     programming over the set of frames in the first slots (Held & Karp 1962).
+
     Ties follow ``hungarian_match``: frame 0, then 1 and so on takes its smallest
-    slot whose constrained optimum is within tolerance of the best."""
+    free slot whose constrained optimum is within tolerance of the best.  One
+    solve gives every frame's optimum at every slot.  It is repeated, under the
+    frames fixed so far, only after a frame that had more than one near-best
+    slot.  That is exact: when a frame has one near-best slot, every near-best
+    order already puts it there, so fixing it leaves the near-best slots of
+    every later frame as they were.
+    """
     lp = _table_array(two_way, 2)
     n = lp.shape[0]
     if n > MAX_FRAMES:
@@ -193,30 +255,22 @@ def best_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], float]:
     np.fill_diagonal(ahead, 0.0)
     if not (ahead < np.inf).all():
         raise ValueError("log-probabilities must be < inf and not NaN")
-    gains = np.zeros((1, n))
-    for k in range(n):  # gains[placed, e] = sum of ahead[e, k] over the unplaced k
-        gains = np.concatenate([gains + ahead[:, k], gains])
-    sets = np.arange(1 << n)
-    size = sum((sets >> k) & 1 for k in range(n))
-    starts = [[sets[(size == s) & ((sets >> e) & 1 == 0)] for e in range(n)] for s in range(n)]
-
-    def optimum(allowed: np.ndarray) -> float:
-        """Best score when frame e may take slot s only where allowed[s, e]."""
-        value = np.where(sets == 0, 0.0, -np.inf)
-        for s, e in zip(*np.nonzero(allowed)):  # by slot, so each set is final when read
-            src = starts[s][e]
-            value[src | 1 << e] = np.maximum(value[src | 1 << e], value[src] + gains[src, e])
-        return float(value[-1])
-
-    allowed = np.ones((n, n), dtype=bool)
-    best = optimum(allowed)
+    gains = np.zeros((1 << n, n))  # gains[placed, e] = sum of ahead[e, k] over the unplaced k
+    for k in range(n):
+        gains[1 << k : 2 << k] = gains[: 1 << k]
+        gains[: 1 << k] += ahead[:, k]
+    slot_of: dict[int, int] = {}
+    best, at = _frame_slot_optima(gains, slot_of)
     for e in range(n):
-        for s in np.flatnonzero(allowed[:, e]):  # try frame e alone at slot s
-            trial = allowed & ((np.arange(n)[:, None] == s) == (np.arange(n) == e))
-            if math.isclose(optimum(trial), best, rel_tol=1e-9, abs_tol=1e-9):
-                break
-        allowed = trial
-    perm = tuple(int(np.flatnonzero(allowed[:, e])[0]) for e in range(n))
+        taken = set(slot_of.values())
+        near = [
+            s for s in range(n)
+            if s not in taken and math.isclose(at[s, e], best, rel_tol=1e-9, abs_tol=1e-9)
+        ]
+        slot_of[e] = near[0]
+        if len(near) > 1:
+            at = _frame_slot_optima(gains, slot_of)[1]
+    perm = tuple(slot_of[e] for e in range(n))
     return perm, frame_order_score(lp, perm)
 
 

@@ -12,22 +12,19 @@ hash.  Records are processed by a pool whose results are consumed in input
 order, so worker count never changes a single output byte.  A worker
 decodes, gates, tokenizes and segments a line and writes each segment's
 JSON; the parent packs those and joins each 16 into an example line.
-``decode_line``
-applies the line rules of every reader; it, the decoders, the gate
-composition, the line driver and ``note_skip`` are shared by every
-streaming subcommand, so ``filter`` decides and reports a line as ``run`` does.
+``filter``, ``segment`` and ``pack`` use its video and record decoders and
+its gate composition too.  Each line goes through ``model``'s line driver
+(``decode_line``, ``line_outcome``, ``outcomes``, ``note_skip``), as in
+every streaming subcommand.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
-import re
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 from .config import PipelineConfig
 from .filters import (
@@ -38,12 +35,19 @@ from .filters import (
     thumbnail_gate,
 )
 from .model import (
+    ACCEPTED,
+    ERROR,
+    REJECTED,
     SCHEMA_VERSION,
+    Outcome,
     VideoRecord,
     Words,
     example_to_json,
+    line_outcome,
     metadata_from_json,
+    note_skip,
     numbered_lines,
+    outcomes,
     record_from_json,
     segment_to_json,
     typed_rows,
@@ -59,14 +63,6 @@ from .segmenting import segment_transcript  # noqa: F401
 from .tokenizers import tokenize_words  # noqa: F401
 
 _CHUNKSIZE = 8
-
-ACCEPTED, REJECTED, ERROR = "accepted", "rejected", "error"
-Outcome = tuple[str, Any]  # (status, payload): a record, a reject reason or a message
-# What a malformed line can raise; each becomes a data error, never a
-# traceback.  json.JSONDecodeError and UnicodeDecodeError are ValueErrors, and
-# JSON nested too deeply for the parser raises RecursionError.
-DATA_ERRORS = (ValueError, TypeError, KeyError, OverflowError, RecursionError)
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 _worker: tuple[PipelineConfig, Any] | None = None  # (config, tokenizer), pool workers only
 
@@ -107,25 +103,6 @@ class RunManifest:
 def _init_worker(cfg: PipelineConfig, tokenizer) -> None:
     global _worker
     _worker = (cfg, tokenizer)
-
-
-def decode_line(raw: str | bytes) -> dict[str, Any]:
-    """One input line as a JSON object of the supported schema version.
-
-    A byte line must be UTF-8, optionally after a BOM, and no string in the
-    line may hold a lone surrogate such as the escape ``"\\ud800"``: it does
-    not encode back to UTF-8.  Any failure raises one of ``DATA_ERRORS``.
-    """
-    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
-    obj = json.loads(text)
-    if _SURROGATE_ESCAPE.search(text):  # only an escape puts a surrogate in UTF-8
-        json.dumps(obj, ensure_ascii=False).encode("utf-8")
-    if not isinstance(obj, dict):
-        raise ValueError("line must hold a JSON object")
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:  # the string "1": the integer 1 is another version
-        raise ValueError(f"unsupported schema_version {version!r}")
-    return obj
 
 
 def decode_video(obj: dict[str, Any]) -> tuple[VideoRecord, Words]:
@@ -184,14 +161,6 @@ def segment_video(
     return dataclasses.replace(meta, segments=tuple(segments)), frames
 
 
-def line_outcome(handle: Callable[..., Outcome], raw: str | bytes, *args) -> Outcome:
-    """``handle(decode_line(raw), *args)``, or ("error", message) on a data error."""
-    try:
-        return handle(decode_line(raw), *args)
-    except DATA_ERRORS as e:
-        return ERROR, f"{type(e).__name__}: {e}"
-
-
 def _video_outcome(obj: dict[str, Any], cfg: PipelineConfig, tokenizer) -> Outcome:
     meta, words = decode_video(obj)
     decision = apply_gates(meta, obj, cfg)
@@ -213,28 +182,6 @@ def process_video_line(
     cfg = config if config is not None else PipelineConfig()
     tok = tokenizer if tokenizer is not None else load_tokenizer(cfg.tokenizer_path)
     return line_outcome(_video_outcome, raw, cfg, tok)
-
-
-def note_skip(lineno: int, message: str) -> None:
-    """The stderr note for a line skipped as a data error."""
-    print(f"line {lineno}: skipped ({message})", file=sys.stderr)
-
-
-def outcomes(
-    results: Iterable[tuple[int, Outcome]],
-    on_error: Callable[[int, str], None],
-    tally: Counter,
-) -> Iterator[Outcome]:
-    """Every numbered outcome, counted in ``tally`` by status, in input order.
-
-    A data error goes to ``on_error(lineno, message)`` instead of being yielded.
-    """
-    for lineno, (status, payload) in results:
-        tally[status] += 1
-        if status == ERROR:
-            on_error(lineno, payload)
-        else:
-            yield status, payload
 
 
 def _numbered_video_line(item: tuple[int, Any]) -> tuple[int, Outcome]:

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .align import dtw_align, levenshtein
+from . import _kernels
+from .align import dtw_align
 from .config import PipelineConfig
 from .losses import contrastive_loss, l2_normalize
 from .ordering import hungarian_match
@@ -114,10 +115,13 @@ def _check_hungarian(trials: int = 60) -> CheckResult:
 
 def _exhaustive_alignment_cost(noisy: tuple[str, ...], clean: tuple[str, ...]) -> int:
     """Minimum pair-cost sum over all monotone full-coverage alignments."""
+    pair_cost = _kernels.pair_cost_matrix(
+        *_kernels.encode_words(list(noisy)), *_kernels.encode_words(list(clean))
+    ).tolist()
 
     @lru_cache(maxsize=None)
     def go(i: int, j: int) -> int:
-        cost = levenshtein(noisy[i], clean[j])
+        cost = pair_cost[i][j]
         if i == 0 and j == 0:
             return cost
         options = []

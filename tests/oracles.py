@@ -200,6 +200,46 @@ def brute_force_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], fl
     return smallest_near_best(n, score)
 
 
+def resolve_per_slot_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """The frame search ``best_frame_ordering`` replaced: the subset DP (Held &
+    Karp 1962) solved again for every (frame, slot) it tries.  Frame 0, then 1 and
+    so on takes its smallest slot whose constrained optimum is within 1e-9 of the
+    best."""
+    from vidtext.ordering import frame_order_score
+
+    lp = np.asarray(two_way, dtype=np.float64)
+    n = lp.shape[0]
+    ahead = lp[:, :, 0] + lp[:, :, 1].T  # ahead[e, k]: what placing e before k earns
+    np.fill_diagonal(ahead, 0.0)
+    if not (ahead < np.inf).all():
+        raise ValueError("log-probabilities must be < inf and not NaN")
+    gains = np.zeros((1, n))
+    for k in range(n):  # gains[placed, e] = sum of ahead[e, k] over the unplaced k
+        gains = np.concatenate([gains + ahead[:, k], gains])
+    sets = np.arange(1 << n)
+    size = sum((sets >> k) & 1 for k in range(n))
+    starts = [[sets[(size == s) & ((sets >> e) & 1 == 0)] for e in range(n)] for s in range(n)]
+
+    def optimum(allowed: np.ndarray) -> float:
+        """Best score when frame e may take slot s only where allowed[s, e]."""
+        value = np.where(sets == 0, 0.0, -np.inf)
+        for s, e in zip(*np.nonzero(allowed)):  # by slot, so each set is final when read
+            src = starts[s][e]
+            value[src | 1 << e] = np.maximum(value[src | 1 << e], value[src] + gains[src, e])
+        return float(value[-1])
+
+    allowed = np.ones((n, n), dtype=bool)
+    best = optimum(allowed)
+    for e in range(n):
+        for s in np.flatnonzero(allowed[:, e]):  # try frame e alone at slot s
+            trial = allowed & ((np.arange(n)[:, None] == s) == (np.arange(n) == e))
+            if math.isclose(optimum(trial), best, rel_tol=1e-9, abs_tol=1e-9):
+                break
+        allowed = trial
+    perm = tuple(int(np.flatnonzero(allowed[:, e])[0]) for e in range(n))
+    return perm, frame_order_score(lp, perm)
+
+
 def greedy_word_packing(word_lengths: list[int], l_max: int) -> list[list[int]]:
     """Expected segment boundaries: word indices per segment, greedy fill."""
     segments: list[list[int]] = []

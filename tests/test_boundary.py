@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -173,3 +174,20 @@ def test_filter_and_run_agree_and_manifest_conserves(cases):
     segments = sum(len(rec.segments) for kind, rec in outcomes if kind == "accepted")
     assert counts["segments"] == segments
     assert counts["examples"] * 16 + counts["segments_dropped"] == segments
+
+
+def test_a_huge_integer_and_deep_nesting_are_named_data_errors(tmp_path):
+    """Python's own messages for these two (a ``sys.set_int_max_str_digits`` hint
+    and a RecursionError) become ``ValueError``s that say what the line holds."""
+    digits = sys.get_int_max_str_digits()
+    src = tmp_path / "in.jsonl"
+    src.write_text('{"n": ' + "1" * (digits + 1) + "}\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    for command in ("filter", "score-order"):
+        code, err = _main([command, "--input", str(src)])
+        assert (code, err.splitlines()) == (
+            1,
+            [
+                f"line 1: skipped (ValueError: integer of more than {digits} digits)",
+                "line 2: skipped (ValueError: JSON nested too deeply)",
+            ],
+        )

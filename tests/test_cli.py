@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vidtext.cli import main
+from vidtext.cli import build_parser, main
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -101,6 +102,8 @@ def test_main_keeps_a_blas_thread_count_the_caller_set():
 
 def test_score_order_loads_no_numpy_ma(tmp_path):
     # numpy.ma costs about 17 ms of start-up; np.setdiff1d and np.unique import it.
+    # score-order and align load no config, pipeline, gate, segmenting,
+    # tokenizer or masking module either.
     rng = np.random.default_rng(0)
     lines = []
     for n, classes in ((3, 4), (6, 4), (5, 2)):
@@ -108,15 +111,78 @@ def test_score_order_loads_no_numpy_ma(tmp_path):
         log_probs = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
         lines.append(json.dumps({"n": n, "classes": classes, "log_probs": log_probs.ravel().tolist()}))
     (tmp_path / "order.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    argv = ["score-order", "--input", str(tmp_path / "order.jsonl"), "--output", str(tmp_path / "o.jsonl")]
+    pair = {"noisy": [{"text": "helo", "start_s": 0.0, "end_s": 0.4}], "clean": ["hello"]}
+    (tmp_path / "align.jsonl").write_text(json.dumps(pair) + "\n", encoding="utf-8")
+    argvs = [
+        [command, "--input", str(tmp_path / f"{name}.jsonl"), "--output", str(tmp_path / name[0])]
+        for command, name in (("score-order", "order"), ("align", "align"))
+    ]
+    unused = ("numpy.ma", *(f"vidtext.{m}" for m in UNUSED_BY_SCORE_ORDER_AND_ALIGN))
     code = f"""
 import sys
 from vidtext.cli import main
-print(main({argv!r}), "numpy.ma" in sys.modules)
+print([main(argv) for argv in {argvs!r}], [m for m in {unused!r} if m in sys.modules])
 """
     done = _python(code)
-    assert done.stdout.splitlines()[-1:] == ["0 False"], done
-    assert len((tmp_path / "o.jsonl").read_text(encoding="utf-8").splitlines()) == 3
+    assert done.stdout.splitlines()[-1:] == ["[0, 0] []"], done
+    assert len((tmp_path / "o").read_text(encoding="utf-8").splitlines()) == 3
+    assert len((tmp_path / "a").read_text(encoding="utf-8").splitlines()) == 1
+
+
+UNUSED_BY_SCORE_ORDER_AND_ALIGN = (
+    "config", "pipeline", "filters", "segmenting", "tokenizers", "masking",
+)
+
+# Each subcommand's option strings, as argparse holds them.
+OPTIONS = {
+    "filter": "-h --help --input --output --config --seed --max-duration-s --prob-threshold "
+    "--min-objects --sim-threshold --distinct-classes",
+    "align": "-h --help --input --output",
+    "corrupt": "-h --help --input --output --pronounce-dict --config --seed --replace-prob "
+    "--homophone-share --filler-prob --tokenizer",
+    "segment": "-h --help --input --output --config --seed --tokens-per-segment --tokenizer "
+    "--frame-manifest",
+    "pack": "-h --help --input --output --config --seed --segments-per-example "
+    "--no-cross-video --stats",
+    "mask": "-h --help --input --output --config --seed --rate --attended-share --span-mean "
+    "--top-frac --vocab-size --mask-id --special-id",
+    "loss contrastive": "-h --help --frames --captions --tau --row-only --grads-out",
+    "loss mlm": "-h --help --logits --labels",
+    "loss order": "-h --help --pairs --classes --params --activation",
+    "loss combine": "-h --help --mlm --contrastive --ordering --coeff",
+    "score-order": "-h --help --input --output",
+    "eval-story": "-h --help --tables --truths --footrule",
+    "shape": "-h --help --config --seed --image-width --image-height --patch --pool "
+    "--group-segments --tokens-per-segment --segments-per-example",
+    "selfcheck": "-h --help --tau --patch",
+    "run": "-h --help --input --output --manifest --jobs --config --seed --tokenizer "
+    "--tokens-per-segment --segments-per-example --no-cross-video --max-duration-s "
+    "--prob-threshold --min-objects --sim-threshold --distinct-classes",
+    "scramble-plan": "-h --help --segments --prob --count --seed",
+}
+
+
+def _subcommand(parser: argparse.ArgumentParser, words: list[str]) -> argparse.ArgumentParser:
+    for word in words:
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subs.choices[word]
+    return parser
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_each_subcommand_keeps_its_options(command):
+    """The parser built for one subcommand gives it the options the full parser does."""
+    words = command.split()
+    for parser in (build_parser(), build_parser(words)):
+        actions = _subcommand(parser, words)._actions
+        assert " ".join(s for a in actions for s in a.option_strings) == OPTIONS[command]
+
+
+def test_every_subcommand_is_listed_whichever_one_is_named():
+    names = list(dict.fromkeys(command.split()[0] for command in OPTIONS))
+    for argv in (None, ["score-order"], ["--version"]):
+        subs = next(a for a in build_parser(argv)._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subs.choices) == names
 
 
 def test_commands_that_start_no_pool_load_no_multiprocessing(tmp_path, data_dir):
@@ -991,7 +1057,7 @@ def test_undecodable_and_deeply_nested_lines_are_data_errors(
         code = main(argv + ["--manifest", str(manifest)])
         err = capsys.readouterr().err
         assert code == 1
-        assert "UnicodeDecodeError" in err and "RecursionError" in err
+        assert "UnicodeDecodeError" in err and "ValueError: JSON nested too deeply" in err
         assert "UnicodeEncodeError" in err
         runs.append((out.read_bytes(), manifest.read_bytes()))
     assert runs[0] == runs[1]
@@ -1001,7 +1067,7 @@ def test_undecodable_and_deeply_nested_lines_are_data_errors(
     code, out, err = run_cli(capsys, ["filter", "--input", str(src)])
     assert code == 1
     assert "line 4: skipped (UnicodeDecodeError" in err
-    assert "line 5: skipped (RecursionError" in err
+    assert "line 5: skipped (ValueError: JSON nested too deeply)" in err
     assert "line 6: skipped (UnicodeEncodeError" in err and "surrogates not allowed" in err
     assert "line 7: skipped (UnicodeDecodeError" in err
     rows = [json.loads(line) for line in out.splitlines()]

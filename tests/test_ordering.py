@@ -15,6 +15,7 @@ from oracles import (
     pairwise_accuracy_reference,
     relation_table_score,
     resolve_per_cell_match,
+    resolve_per_slot_frame_ordering,
     smallest_near_best,
     spearman_reference,
 )
@@ -141,6 +142,37 @@ def test_best_frame_ordering_matches_brute_force(n, kind, seed):
     exp_perm, exp_score = brute_force_frame_ordering(lp)
     assert got_perm == exp_perm
     assert got_score == pytest.approx(exp_score, rel=1e-9, abs=1e-9)
+
+
+def frame_table(rng, n, kind):
+    """A 2-way ``logit_table`` of ``kind``, or for "-inf" a random one in which
+    about a third of the cells rule out one of the two orders."""
+    if kind != "-inf":
+        return logit_table(rng, n, 2, kind)
+    lp = logit_table(rng, n, 2, "random")
+    one_way = np.where(rng.random((n, n, 1)) < 0.5, [0.0, -np.inf], [-np.inf, 0.0])
+    ruled_out = rng.random((n, n)) < 0.3
+    lp[ruled_out] = one_way[ruled_out]
+    return lp
+
+
+FRAME_KINDS = ("random", "rounded", "equal", "-inf")
+
+
+def test_best_frame_ordering_matches_the_per_slot_resolve():
+    """The search that solves once, and again only after a tied frame, picks the
+    permutation and score of the one that solved again for every slot it tried."""
+    for n in range(1, 13):
+        for kind in FRAME_KINDS:
+            for seed in range(3):
+                lp = frame_table(np.random.default_rng([n, seed]), n, kind)
+                assert best_frame_ordering(lp) == resolve_per_slot_frame_ordering(lp), (n, kind, seed)
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_best_frame_ordering_matches_the_per_slot_resolve_at_16(kind):
+    lp = frame_table(np.random.default_rng(16), MAX_FRAMES, kind)
+    assert best_frame_ordering(lp) == resolve_per_slot_frame_ordering(lp)
 
 
 def test_frame_ordering_is_bounded_at_16():
