@@ -6,7 +6,7 @@ Stages read and write line-delimited JSON so they compose through pipes:
     vidtext run --input raw.jsonl --output packed.jsonl --manifest run.json
 
 Exit codes: 0 success, 1 finished but some records were skipped as data
-errors, 2 fatal (bad usage, unreadable files, invalid config).
+errors, 2 fatal (bad usage, unreadable files, invalid config, numpy missing).
 
 ``main`` sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller has set it,
 before any subcommand imports numpy.  The subcommands' numpy work is
@@ -23,11 +23,14 @@ import os
 import sys
 from contextlib import ExitStack, nullcontext
 from collections import Counter
+from importlib.util import find_spec
 from typing import IO, Any, Callable, Iterator, Sequence
 
 # Only what every subcommand uses is imported here; each handler imports the
 # rest in its own body, and only the subcommand that runs gets its flags, so
 # ``score-order`` and ``align`` load no config, pipeline or tokenizer module.
+# Those two import numpy in their per-line handler, so an input with no line
+# to handle (an empty shard) never loads it.
 from . import __version__
 from .model import (
     ACCEPTED,
@@ -169,10 +172,18 @@ def _cmd_filter(args) -> int:
     return _stream(args, decide)
 
 
+def _need_numpy() -> None:
+    """Fail before ``_stream`` opens ``--output``; numpy loads at the first line."""
+    if find_spec("numpy") is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+
+
 def _cmd_align(args) -> int:
-    from .align import align_and_time
+    _need_numpy()
 
     def handle(obj: Any) -> dict[str, Any]:
+        from .align import align_and_time
+
         noisy = list_field(obj, "noisy", word_from_json)
         clean = typed_list(obj, "clean", str)
         alignment, timed = align_and_time(noisy, clean)
@@ -336,18 +347,19 @@ def _table_from_json(obj: dict[str, Any], kinds: tuple[int, ...] = (2, 4)) -> tu
     classes = typed_field(obj, "classes", int) if "classes" in obj else 4
     flat = typed_list(obj, "log_probs", float)
     if classes not in kinds:
-        raise ValueError(f"classes must be {' or '.join(map(str, kinds))}, got {classes}")
+        raise ValueError(f"classes must be {' or '.join(map(str, kinds))}, got {classes!r:.40}")
     if classes == 4:
         return 4, PairwiseRelationTable.from_flat(n, flat)
     return 2, table_from_flat(n, flat, 2)
 
 
 def _cmd_score_order(args) -> int:
-    import numpy as np
-
+    _need_numpy()
     cli = sys.modules[__name__]
 
     def handle(obj: Any) -> dict[str, Any]:
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):  # a -inf score is checked below
             classes, table = _table_from_json(obj)
             search = cli.best_ordering if classes == 4 else cli.best_frame_ordering
@@ -566,7 +578,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (OSError, *DATA_ERRORS) as e:
+    except (OSError, ImportError, *DATA_ERRORS) as e:
+        if isinstance(e, ImportError) and e.name != "numpy":
+            raise  # a vidtext import that fails is a bug: keep its traceback
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,12 +81,13 @@ def table_from_flat(n: int, flat: Sequence[float], classes: int) -> np.ndarray:
     """Decode the wire format of either table kind, row-major flattened
     n*n*classes, into a table that passes ``check_normalized``."""
     if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+        raise ValueError(f"n must be at least 1, got {n!r:.40}")
     arr = np.asarray(list(flat), dtype=np.float64)
-    if arr.size != n * n * classes:
-        raise ValueError(
-            f"expected {n * n * classes} log-probabilities for n={n}, got {arr.size}"
-        )
+    need = n * n * classes
+    if arr.size != need:
+        # No list is longer than sys.maxsize; a larger count may be too long to print.
+        count = need if need <= sys.maxsize else f"n*n*{classes}"
+        raise ValueError(f"expected {count} log-probabilities for n={n!r:.40}, got {arr.size}")
     lp = _table_array(arr.reshape(n, n, classes), classes)
     check_normalized(lp)
     return lp

@@ -191,3 +191,40 @@ def test_a_huge_integer_and_deep_nesting_are_named_data_errors(tmp_path):
                 "line 2: skipped (ValueError: JSON nested too deeply)",
             ],
         )
+
+
+def test_huge_table_integers_get_short_notes_that_name_their_field(tmp_path):
+    """An ``n`` or ``classes`` of 4,000 digits parses, but its note is cut at 40
+    characters, and a value count too large for any list is not printed."""
+    big = "9" * 4000
+    lines = {
+        f'{{"n": {big}, "classes": 2, "log_probs": [0.0]}}':
+            f"expected n*n*2 log-probabilities for n={'9' * 40}, got 1",
+        f'{{"n": {big}, "log_probs": [0.0]}}':
+            f"expected n*n*4 log-probabilities for n={'9' * 40}, got 1",
+        f'{{"n": -{big}, "classes": 2, "log_probs": [0.0]}}':
+            f"n must be at least 1, got -{'9' * 39}",
+        f'{{"n": 2, "classes": {big}, "log_probs": [0.0]}}':
+            f"classes must be 2 or 4, got {'9' * 40}",
+        # Ordinary values keep their whole note.
+        '{"n": 3, "classes": 2, "log_probs": [0.0]}': "expected 18 log-probabilities for n=3, got 1",
+    }
+    src = tmp_path / "tables.jsonl"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, err = _main(["score-order", "--input", str(src)])
+    assert (code, err.splitlines()) == (
+        1,
+        [f"line {k}: skipped (ValueError: {note})" for k, note in enumerate(lines.values(), 1)],
+    )
+
+    # eval-story reads its tables through the same decoder; a bad line is fatal there.
+    truths = tmp_path / "truths.jsonl"
+    truths.write_text('{"order": [0]}\n', encoding="utf-8")
+    for line, note in [
+        (f'{{"n": {big}, "log_probs": [0.0]}}', f"expected n*n*4 log-probabilities for n={'9' * 40}, got 1"),
+        (f'{{"n": -{big}, "log_probs": [0.0]}}', f"n must be at least 1, got -{'9' * 39}"),
+        (f'{{"n": 1, "classes": {big}, "log_probs": [0.0]}}', f"classes must be 4, got {'9' * 40}"),
+    ]:
+        src.write_text(line + "\n", encoding="utf-8")
+        code, err = _main(["eval-story", "--tables", str(src), "--truths", str(truths)])
+        assert (code, err) == (2, f"error: {src} line 1: {note}\n")

@@ -77,10 +77,11 @@ _THREADS = """
 import os, sys
 import vidtext.cli
 before = os.environ.get("OPENBLAS_NUM_THREADS")
-code = vidtext.cli.main(["scramble-plan", "--count", "1"])  # imports numpy
+code = vidtext.cli.main({argv!r})  # imports numpy
 print(code, "numpy" in sys.modules, before, os.environ["OPENBLAS_NUM_THREADS"])
 print(len(os.listdir("/proc/self/task")))
 """
+_SCRAMBLE = ["scramble-plan", "--count", "1"]
 needs_proc_tasks = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir(), reason="no /proc/self/task to count threads in"
 )
@@ -88,7 +89,7 @@ needs_proc_tasks = pytest.mark.skipif(
 
 @needs_proc_tasks
 def test_main_runs_numpy_with_one_blas_thread():
-    done = _python(_THREADS)
+    done = _python(_THREADS.format(argv=_SCRAMBLE))
     lines = done.stdout.splitlines()
     # Importing the CLI leaves the variable unset; main sets it before numpy loads.
     assert lines[1:] == ["0 True None 1", "1"], done
@@ -96,8 +97,100 @@ def test_main_runs_numpy_with_one_blas_thread():
 
 @needs_proc_tasks
 def test_main_keeps_a_blas_thread_count_the_caller_set():
-    done = _python(_THREADS, OPENBLAS_NUM_THREADS="2")
+    done = _python(_THREADS.format(argv=_SCRAMBLE), OPENBLAS_NUM_THREADS="2")
     assert done.stdout.splitlines()[1] == "0 True 2 2", done
+
+
+@needs_proc_tasks
+def test_score_order_loads_numpy_at_its_first_line_with_one_blas_thread(tmp_path):
+    src, out = tmp_path / "order.jsonl", tmp_path / "out.jsonl"
+    src.write_text(ORDER_LINE + "\n", encoding="utf-8")
+    argv = ["score-order", "--input", str(src), "--output", str(out)]
+    done = _python(_THREADS.format(argv=argv))
+    assert done.stdout.splitlines() == ["0 True None 1", "1"], done
+    assert out.read_text(encoding="utf-8") == ORDER_OUT
+
+
+# One valid line of each subcommand and the bytes it writes for it.
+ORDER_LINE = json.dumps(
+    {"n": 2, "classes": 2, "log_probs": [-0.69314718, -0.69314718, -0.1053605, -2.3025851,
+                                         -2.3025851, -0.1053605, -0.69314718, -0.69314718]}
+)
+ORDER_OUT = '{"permutation":[0,1],"score":-0.210721,"schema_version":"1"}\n'
+ALIGN_LINE = json.dumps(
+    {"noisy": [{"text": "helo", "start_s": 0.0, "end_s": 0.4},
+               {"text": "wrld", "start_s": 0.5, "end_s": 0.9}],
+     "clean": ["hello", "world"]}
+)
+ALIGN_OUT = (
+    '{"pairs":[[0,0],[1,1]],"total_cost":2,"clean_words":[{"text":"hello","start_s":0.0,'
+    '"end_s":0.4},{"text":"world","start_s":0.5,"end_s":0.9}],"schema_version":"1"}\n'
+)
+VALID = {"score-order": (ORDER_LINE, ORDER_OUT), "align": (ALIGN_LINE, ALIGN_OUT)}
+
+
+def _first_line_argvs(tmp_path, command: str) -> list[list[str]]:
+    """``command`` on an empty input, one truncated line, then one valid line."""
+    argvs = []
+    valid = VALID[command][0] + "\n"
+    for name, text in (("empty", ""), ("truncated", '{"n": 1, "log_p\n'), ("valid", valid)):
+        (tmp_path / f"{name}.jsonl").write_text(text, encoding="utf-8")
+        out = tmp_path / f"{command}-{name}.out"
+        argvs.append([command, "--input", str(tmp_path / f"{name}.jsonl"), "--output", str(out)])
+    return argvs
+
+
+@pytest.mark.parametrize("command", list(VALID))
+def test_score_order_and_align_load_numpy_at_their_first_line(tmp_path, command):
+    # An empty shard, or one whose lines are all data errors, never pays numpy's start-up.
+    argvs = _first_line_argvs(tmp_path, command)
+    code = f"""
+import sys
+from vidtext.cli import main
+for argv in {argvs!r}:
+    print(main(argv), "numpy" in sys.modules)
+"""
+    done = _python(code)
+    assert done.stdout.splitlines() == ["0 False", "1 False", "0 True"], done
+    assert done.stderr.startswith("line 1: skipped (JSONDecodeError: ") and done.stderr.count("\n") == 1
+    outs = [Path(argv[-1]).read_text(encoding="utf-8") for argv in argvs]
+    assert outs == ["", "", VALID[command][1]]
+
+
+@pytest.mark.parametrize("command", list(VALID))
+def test_a_missing_numpy_is_fatal_before_the_output_is_opened(tmp_path, command):
+    # Never a data error, and an existing --output keeps its bytes.
+    argvs = _first_line_argvs(tmp_path, command)
+    for argv in argvs:
+        Path(argv[-1]).write_text("keep\n", encoding="utf-8")
+    code = f"""
+import sys
+sys.modules["numpy"] = None  # importing it now raises ImportError
+from vidtext.cli import main
+print([main(argv) for argv in {argvs!r}])
+"""
+    done = _python(code)
+    assert done.stdout.splitlines() == ["[2, 2, 2]"], done
+    assert done.stderr.splitlines() == ["error: No module named 'numpy'"] * 3, done
+    assert [Path(argv[-1]).read_text(encoding="utf-8") for argv in argvs] == ["keep\n"] * 3
+
+
+@pytest.mark.parametrize(
+    "command,module,name", [("score-order", "ordering", "table_from_flat"), ("align", "align", "align_and_time")]
+)
+def test_a_vidtext_import_that_fails_keeps_its_traceback(tmp_path, command, module, name):
+    # As if the handler imported a name its module no longer has: a bug, not a fatal error.
+    argv = _first_line_argvs(tmp_path, command)[-1]
+    code = f"""
+import vidtext.{module}
+del vidtext.{module}.{name}
+from vidtext.cli import main
+main({argv!r})
+"""
+    done = _python(code)
+    assert done.returncode == 1, done
+    assert done.stderr.startswith("Traceback"), done
+    assert f"ImportError: cannot import name '{name}' from 'vidtext.{module}'" in done.stderr, done
 
 
 def test_score_order_loads_no_numpy_ma(tmp_path):
