@@ -44,6 +44,7 @@ from .model import (
     note_skip,
     numbered_lines,
     outcomes,
+    record_from_json,
     record_to_json,
     typed_field,
     typed_list,
@@ -238,14 +239,14 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_pack(args) -> int:
-    from .pipeline import decode_record, write_examples
+    from .pipeline import write_examples
 
     cfg = _config_from_args(args)
 
     def write(fout: IO[str], records: Iterator[Any]) -> None:
         _write_report(args.stats, write_examples(records, cfg, fout))
 
-    return _stream(args, decode_record, write)
+    return _stream(args, record_from_json, write)
 
 
 def _cmd_mask(args) -> int:

@@ -1,9 +1,9 @@
 """Domain types for timed transcripts and their serialized form.
 
 Everything here is an immutable value.  Timestamps are kept at millisecond
-precision: constructors round to 1 ms, and the constructors' checks and
-``validate_record``, the one check of a record's segment invariants, compare
-those rounded values, so serialization round-trips are exact.
+precision: constructors and the column decoder round to 1 ms, and their checks
+and ``check_segments``, the one check of a record's segment invariants,
+compare those rounded values, so serialization round-trips are exact.
 
 The line format (one JSON object per line, ``schema_version`` "1" first) is
 each record's fields in declaration order:
@@ -15,16 +15,15 @@ each record's fields in declaration order:
 * packed example: ``segments`` plus ``provenance`` as
   ``[[video_id, original_segment_index], ...]``
 
-A segment is written by one writer, ``segment_json``, from the token runs
-of its words (``token_runs_json``): the tokens of one word share its index
-and span, so that tail is formatted once per word.  On the write paths
-(``segment``, ``pack`` and ``run``) a record's or an example's ``segments``
-hold that JSON, not ``Segment`` objects.  A ``run`` pool worker returns each
-accepted video as a ``VideoRecord`` of segment JSON, so the worker writes
-every token, and the parent only joins 16 segments and their provenance
-into an example line (``example_to_json``).  ``segment_to_json`` writes a
-``Segment`` object through the same writer.  ``dump_line`` writes every
-other record from its fields.
+Words and tokens are decoded as columns, one list per field (``columns_field``).
+A segment is written by one writer, ``segment_json``, from the token runs of
+its words (``token_runs_json``): a word's tokens share its index and span, so
+that tail is formatted once per word.  On the write paths (``segment``, ``pack``
+and ``run``) a record's or an example's ``segments`` hold that JSON, never
+``Segment`` objects: ``pack`` reads a record by ``record_from_json``, and the
+``run`` parent joins its workers' segment JSON into example lines
+(``example_to_json``).  ``validate_record`` checks a record of ``Segment``
+objects; ``dump_line`` writes every other record, a ``Segment`` too.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, repeat
-from operator import attrgetter, itemgetter, lt, mul, truediv
+from itertools import compress, repeat
+from operator import itemgetter, lt, mul, ne, truediv
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 SCHEMA_VERSION = "1"
@@ -87,6 +86,13 @@ class TimedToken:
             )
 
 
+def _check_segment(n_tokens: int, variant: str) -> None:
+    if not n_tokens:
+        raise ValueError("segment must contain at least one token")
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+
+
 @dataclass(frozen=True)
 class Segment:
     """A bounded run of tokens with the frame sample time for that span."""
@@ -98,10 +104,7 @@ class Segment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "frame_time_s", round_ms(self.frame_time_s))
-        if not self.tokens:
-            raise ValueError("segment must contain at least one token")
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+        _check_segment(len(self.tokens), self.variant)
 
     @property
     def start_s(self) -> float:
@@ -115,8 +118,7 @@ class Segment:
     def from_tokens(cls, tokens: Iterable[TimedToken], variant: str = VARIANT_CLEAN) -> "Segment":
         """Build a segment whose frame time is the midpoint of its span."""
         toks = tuple(tokens)
-        if not toks:
-            raise ValueError("segment must contain at least one token")
+        _check_segment(len(toks), variant)
         return cls(toks, (toks[0].start_s + toks[-1].end_s) / 2.0, variant)
 
 
@@ -156,49 +158,57 @@ def _invalid(field: str, message: str) -> ValueError:
     return ValueError(f"invalid record: {field}: {message}")
 
 
-def validate_record(record: VideoRecord) -> None:
-    """Check the segment invariants of a decoded record; raise
-    ``ValueError("invalid record: <field path>: <message>")`` at the first fault.
+def check_segments(segments: Iterable[tuple[list[list], float, str]]) -> None:
+    """Check the invariants of a record's segments, each as ``record_from_json`` decodes
+    it; raise ``ValueError("invalid record: <field path>: <message>")`` at the first fault.
 
     Per token: words in order, one time span per word, and no word starting
     before the previous word ends.  Per segment, after its tokens: the frame
     time inside its span, and no start before the previous segment ends.
     """
     seg_end = -math.inf
-    for s, seg in enumerate(record.segments):
+    for s, ((_, word_index, starts, ends), frame_time_s, _) in enumerate(segments):
         where = f"segments[{s}]"
-        spans: dict[int, tuple[float, float]] = {}
-        prev_word, prev_end = -1, -math.inf
-        for k, tok in enumerate(seg.tokens):
-            if tok.word_index < prev_word:
+        prev_word, prev_span = -1, (-math.inf, -math.inf)
+        for k, span in enumerate(zip(starts, ends)):
+            word = word_index[k]
+            # Words never regress, so the tokens of a word are adjacent.
+            if word == prev_word:
+                if span != prev_span:
+                    raise _invalid(
+                        f"{where}.tokens[{k}]", f"tokens of word {word} disagree on its time span"
+                    )
+            elif word < prev_word:
                 raise _invalid(
                     f"{where}.tokens[{k}].word_index",
-                    f"word order regressed from {prev_word} to {tok.word_index}",
+                    f"word order regressed from {prev_word} to {word}",
                 )
-            span = (tok.start_s, tok.end_s)
-            if spans.setdefault(tok.word_index, span) != span:
-                raise _invalid(
-                    f"{where}.tokens[{k}]",
-                    f"tokens of word {tok.word_index} disagree on its time span",
-                )
-            if tok.word_index != prev_word and tok.start_s < prev_end:
+            elif span[0] < prev_span[1]:
                 raise _invalid(
                     f"{where}.tokens[{k}].start_s",
-                    f"word {tok.word_index} starts at {tok.start_s} before the "
-                    f"previous word ends at {prev_end}",
+                    f"word {word} starts at {span[0]} before the "
+                    f"previous word ends at {prev_span[1]}",
                 )
-            prev_word, prev_end = tok.word_index, tok.end_s
-        if not seg.start_s <= seg.frame_time_s <= seg.end_s:
+            prev_word, prev_span = word, span
+        if not starts[0] <= frame_time_s <= ends[-1]:
             raise _invalid(
                 f"{where}.frame_time_s",
-                f"frame time {seg.frame_time_s} outside span [{seg.start_s}, {seg.end_s}]",
+                f"frame time {frame_time_s} outside span [{starts[0]}, {ends[-1]}]",
             )
-        if seg.start_s < seg_end:
+        if starts[0] < seg_end:
             raise _invalid(
                 f"{where}.start_s",
-                f"segment starts at {seg.start_s} before the previous one ends at {seg_end}",
+                f"segment starts at {starts[0]} before the previous one ends at {seg_end}",
             )
-        seg_end = seg.end_s
+        seg_end = ends[-1]
+
+
+def validate_record(record: VideoRecord) -> None:
+    """``check_segments`` over a record of ``Segment`` objects."""
+    check_segments(
+        ([[getattr(t, name) for t in seg.tokens] for name in TOKEN_COLUMNS], seg.frame_time_s, seg.variant)
+        for seg in record.segments
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +311,17 @@ def word_from_json(obj: dict[str, Any]) -> TimedWord:
     )
 
 
-Words = tuple[list[str], list[float], list[float]]  # text, start_s, end_s per word
+WORD_COLUMNS = {"text": str, "start_s": float, "end_s": float}
+TOKEN_COLUMNS = {"id": int, "word_index": int, "start_s": float, "end_s": float}
 
 
-def _rounded_seconds(values: list) -> list[float] | None:
-    """``round_ms`` of every value if each would pass ``_seconds_field``, else None."""
-    if not set(map(type, values)) <= {float, int}:
+def _column(values: list, kind: type) -> list | None:
+    """``values`` if each is a ``kind`` as the field decoders take it, else None:
+    a string, a non-negative integer, or a time in seconds, returned rounded by ``round_ms``."""
+    if not set(map(type, values)) <= ({int, float} if kind is float else {kind}):
         return None
+    if kind is not float:
+        return values if kind is not int or min(values, default=0) >= 0 else None
     try:
         ms = list(map(mul, values, repeat(1000.0)))
     except OverflowError:  # an integer beyond the float range
@@ -317,39 +331,26 @@ def _rounded_seconds(values: list) -> list[float] | None:
     return list(map(truediv, map(round, ms), repeat(1000.0)))
 
 
-def words_field(obj: dict[str, Any], key: str) -> Words:
-    """The timed words in ``obj[key]`` as parallel lists: text, and start_s and
-    end_s rounded by ``round_ms``, as ``word_from_json`` decodes each word.
+def columns_field(obj: dict[str, Any], key: str, kinds: dict[str, type], decode: Callable) -> list[list]:
+    """The objects in ``obj[key]`` as one column per field of ``kinds``, the
+    fields and kinds of ``WORD_COLUMNS`` or ``TOKEN_COLUMNS``, each value as
+    ``decode`` gives it.
 
     The checks run over whole columns.  A list that fails one is decoded
-    word by word, which raises its first fault under its ``key[k]`` path.
+    object by object, which raises its first fault under its ``key[k]`` path.
     """
     items = _member(obj, key)
     if type(items) is list and set(map(type, items)) <= {dict}:
         try:
-            texts = list(map(itemgetter("text"), items))
-            starts = _rounded_seconds(list(map(itemgetter("start_s"), items)))
-            ends = _rounded_seconds(list(map(itemgetter("end_s"), items)))
+            columns = [_column(list(map(itemgetter(name), items)), kind) for name, kind in kinds.items()]
         except KeyError:
             pass
         else:
-            if (
-                set(map(type, texts)) <= {str}
-                and starts is not None
-                and ends is not None
-                and True not in map(lt, ends, starts)
-            ):
-                return texts, starts, ends
-    words = list_field(obj, key, word_from_json)
-    return [w.text for w in words], [w.start_s for w in words], [w.end_s for w in words]
-
-
-def segment_from_json(obj: dict[str, Any]) -> Segment:
-    return Segment(
-        tokens=list_field(obj, "tokens", token_from_json),
-        frame_time_s=_seconds_field(obj, "frame_time_s"),
-        variant=typed_field(obj, "variant", str),
-    )
+            named = dict(zip(kinds, columns))
+            if None not in columns and True not in map(lt, named["end_s"], named["start_s"]):
+                return columns
+    decoded = list_field(obj, key, decode)
+    return [[getattr(item, name) for item in decoded] for name in kinds]
 
 
 def token_runs_json(
@@ -376,17 +377,6 @@ def segment_json(token_runs: Iterable[str], frame_time_s: float, variant: str = 
     return f'{{"tokens":[{runs}],"frame_time_s":{frame_time_s!r},"variant":"{variant}"}}'
 
 
-def segment_to_json(seg: Segment) -> str:
-    """``segment_json`` of a ``Segment``, with one token run per word and span."""
-    runs = [
-        (word, [tok.id for tok in toks])
-        for word, toks in groupby(seg.tokens, key=attrgetter("word_index", "start_s", "end_s"))
-    ]
-    word_index, starts, ends = zip(*(word for word, _ in runs))
-    token_runs = token_runs_json([ids for _, ids in runs], word_index, starts, ends)
-    return segment_json(token_runs, seg.frame_time_s, seg.variant)
-
-
 def record_to_json(record: VideoRecord) -> str:
     """The line of a record whose segments are segment JSON: its other fields
     by ``dump_line``, then its segments, the last field."""
@@ -407,10 +397,35 @@ def metadata_from_json(obj: dict[str, Any]) -> VideoRecord:
     return record
 
 
-def record_from_json(obj: dict[str, Any]) -> VideoRecord:
-    return dataclasses.replace(
-        metadata_from_json(obj), segments=list_field(obj, "segments", segment_from_json)
+def _segment_columns(obj: dict[str, Any]) -> tuple[list[list], float, str]:
+    """A segment's ``TOKEN_COLUMNS``, frame time and variant, checked as ``Segment`` checks them."""
+    tokens = columns_field(obj, "tokens", TOKEN_COLUMNS, token_from_json)
+    frame_time_s = round_ms(_seconds_field(obj, "frame_time_s"))
+    variant = typed_field(obj, "variant", str)
+    _check_segment(len(tokens[0]), variant)
+    return tokens, frame_time_s, variant
+
+
+def _column_segment_json(tokens: list[list], frame_time_s: float, variant: str) -> str:
+    """``segment_json`` of checked segment columns, one token run per word."""
+    ids, word_index, starts, ends = tokens
+    heads = [0, *compress(range(1, len(ids)), map(ne, word_index[1:], word_index))]
+    runs = token_runs_json(
+        [ids[lo:hi] for lo, hi in zip(heads, [*heads[1:], len(ids)])],
+        *([column[k] for k in heads] for column in (word_index, starts, ends)),
     )
+    return segment_json(runs, frame_time_s, variant)
+
+
+def record_from_json(obj: dict[str, Any]) -> VideoRecord:
+    """A segmented video record (``segment`` output, ``pack`` input) with its
+    segments as segment JSON.  It is decoded whole before ``check_segments``
+    runs, so a field fault anywhere is named before an invariant fault.  The
+    token cap is chosen when ``segment`` runs: segments of any length pass."""
+    meta = metadata_from_json(obj)
+    segments = list_field(obj, "segments", _segment_columns)
+    check_segments(segments)
+    return dataclasses.replace(meta, segments=tuple(_column_segment_json(*seg) for seg in segments))
 
 
 def example_to_json(example: PackedExample) -> str:

@@ -11,11 +11,11 @@ is packed-example JSONL plus a manifest of per-stage counts and the config
 hash.  Records are processed by a pool whose results are consumed in input
 order, so worker count never changes a single output byte.  A worker
 decodes, gates, tokenizes and segments a line and writes each segment's
-JSON; the parent packs those and joins each 16 into an example line.
-``filter``, ``segment`` and ``pack`` use its video and record decoders and
-its gate composition too.  Each line goes through ``model``'s line driver
-(``decode_line``, ``line_outcome``, ``outcomes``, ``note_skip``), as in
-every streaming subcommand.
+JSON; the parent packs those and joins each 16 into an example line
+(``write_examples``, which ``pack`` uses too).  ``filter`` and ``segment``
+use its video decoder and gate composition.  Each line goes through
+``model``'s line driver (``decode_line``, ``line_outcome``, ``outcomes``,
+``note_skip``), as in every streaming subcommand.
 """
 
 from __future__ import annotations
@@ -39,26 +39,24 @@ from .model import (
     ERROR,
     REJECTED,
     SCHEMA_VERSION,
+    WORD_COLUMNS,
     Outcome,
     VideoRecord,
-    Words,
+    columns_field,
     example_to_json,
     line_outcome,
     metadata_from_json,
     note_skip,
     numbered_lines,
     outcomes,
-    record_from_json,
-    segment_to_json,
     typed_rows,
-    validate_record,
-    words_field,
+    word_from_json,
 )
 from .segmenting import PackStats, pack_examples, segment_words
 from .tokenizers import load_tokenizer
 
 # perfbench/tracing.py patches these names in this module; nothing here calls them.
-from .model import dump_line  # noqa: F401
+from .model import dump_line, validate_record  # noqa: F401
 from .segmenting import segment_transcript  # noqa: F401
 from .tokenizers import tokenize_words  # noqa: F401
 
@@ -105,24 +103,11 @@ def _init_worker(cfg: PipelineConfig, tokenizer) -> None:
     _worker = (cfg, tokenizer)
 
 
-def decode_video(obj: dict[str, Any]) -> tuple[VideoRecord, Words]:
-    """A raw video line as its metadata (no segments) and its timed words."""
+def decode_video(obj: dict[str, Any]) -> tuple[VideoRecord, list[list]]:
+    """A raw video line as its metadata (no segments) and its words' ``WORD_COLUMNS``."""
     meta = metadata_from_json(obj)
-    words = words_field(obj, "words") if "words" in obj else ([], [], [])
+    words = columns_field(obj, "words", WORD_COLUMNS, word_from_json) if "words" in obj else ([], [], [])
     return meta, words
-
-
-def decode_record(obj: dict[str, Any]) -> VideoRecord:
-    """A segmented video record (``segment`` output, ``pack`` input), with its
-    segments as segment JSON.  ``validate_record`` raises at the first
-    invariant it breaks.
-
-    The token cap per segment is chosen when ``segment`` runs, so a segment
-    of any length passes here.
-    """
-    record = record_from_json(obj)
-    validate_record(record)
-    return dataclasses.replace(record, segments=tuple(map(segment_to_json, record.segments)))
 
 
 def apply_gates(
@@ -152,11 +137,11 @@ def apply_gates(
 
 
 def segment_video(
-    meta: VideoRecord, words: Words, cfg: PipelineConfig, tokenizer
+    meta: VideoRecord, words: list[list], cfg: PipelineConfig, tokenizer
 ) -> tuple[VideoRecord, list[float]]:
     """One transcript as a record of segment JSON, and its frame times.  Its
-    segments keep every ``validate_record`` invariant by construction, so
-    they are not validated."""
+    segments keep every ``check_segments`` invariant by construction, so
+    they are not checked."""
     segments, frames = segment_words(words, tokenizer, l_max=cfg.tokens_per_segment)
     return dataclasses.replace(meta, segments=tuple(segments)), frames
 

@@ -26,7 +26,6 @@ from .model import (
     Segment,
     TimedToken,
     VideoRecord,
-    Words,
     round_ms,
     segment_json,
     token_runs_json,
@@ -104,8 +103,8 @@ def segment_bounds(
     return bounds
 
 
-def segment_words(words: Words, tokenizer: Tokenizer, l_max: int = 32) -> tuple[list[str], list[float]]:
-    """Tokenize decoded words (``model.words_field``) and cut them by
+def segment_words(words: list[list], tokenizer: Tokenizer, l_max: int = 32) -> tuple[list[str], list[float]]:
+    """Tokenize decoded words (``model.columns_field``) and cut them by
     ``segment_bounds``: each segment as its JSON, and its frame time.
 
     This is ``segment_transcript`` over ``tokenize_words`` written out, but

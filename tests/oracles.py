@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 if TYPE_CHECKING:
-    from vidtext.model import PackedExample, Segment
+    from vidtext.model import PackedExample, Segment, VideoRecord
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -339,6 +339,28 @@ def example_violations(example: PackedExample, n_segments: int = 16, l_max: int 
     for idx, seg in enumerate(example.segments):
         out.extend(_validate_segment(seg, f"segments[{idx}]", l_max))
     return out
+
+
+def segment_object(obj: dict) -> Segment:
+    """A segment's JSON as a ``Segment``, decoded field by field through the
+    object API: the reference for the column decoder in ``model.record_from_json``."""
+    from vidtext.model import Segment, _seconds_field, list_field, token_from_json, typed_field
+
+    return Segment(
+        tokens=list_field(obj, "tokens", token_from_json),
+        frame_time_s=_seconds_field(obj, "frame_time_s"),
+        variant=typed_field(obj, "variant", str),
+    )
+
+
+def record_objects(obj: dict) -> VideoRecord:
+    """A segmented record as a ``VideoRecord`` of ``Segment`` objects, decoded
+    whole and then checked by ``validate_record``."""
+    from vidtext.model import list_field, metadata_from_json, validate_record
+
+    record = replace(metadata_from_json(obj), segments=list_field(obj, "segments", segment_object))
+    validate_record(record)
+    return record
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:

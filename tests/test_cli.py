@@ -1,7 +1,9 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from vidtext.cli import build_parser, main
+from vidtext.model import dump_line
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -960,6 +963,72 @@ def test_pack_names_the_first_fault_of_a_record(capsys, tmp_path, data_dir, line
     _, out_others, _, stats_others = pack(others)
     assert (out, stats) == (out_others, stats_others)  # the broken line is skipped whole
     assert stats["segments_in"] == sum(len(json.loads(l)["segments"]) for l in others)
+
+
+# What a fuzzed value may become besides a nudged number: the wrong JSON
+# type, or a value out of range.
+_FUZZ_VALUES = [None, True, "x", "noisy", -1, 0, 10**20, 10**400, float("inf"), float("nan"), [], {}, -0.0]
+
+
+def _fuzz(rng, rec):
+    """``rec`` with one value replaced or one key deleted, at a depth drawn
+    first: a segment, a segment field, a token or a token field, and now
+    and then a record field.  Most replacements nudge a number."""
+    slots: dict[int, list] = {}
+    todo = [(rec, 0)]
+    while todo:
+        node, depth = todo.pop()
+        for key in node if type(node) is dict else range(len(node)):
+            slots.setdefault(depth, []).append((node, key))
+            if type(node[key]) in (dict, list):
+                todo.append((node[key], depth + 1))
+    node, key = rng.choice(slots[rng.choice([0, 1, 2, 2, 3, 4, 4, 4])])
+    value = node[key]
+    if type(node) is dict and rng.random() < 0.1:
+        del node[key]
+    elif type(value) in (int, float) and rng.random() < 0.9:
+        if type(value) is int:
+            node[key] = rng.choice([value + 1, value - 1, value * 2, float(value)])
+        else:
+            node[key] = rng.choice([value + 0.001, value - 0.001, value - 0.0004, value + 1, int(value)])
+    else:
+        node[key] = rng.choice(_FUZZ_VALUES)
+    return rec
+
+
+def test_pack_decodes_as_the_object_api(capsys, monkeypatch, tmp_path, data_dir):
+    """``pack`` on fuzzed ``segment`` records exits, writes, reports and counts
+    as it does with each record decoded into ``Segment`` objects, checked by
+    ``validate_record`` and written by ``dump_line``."""
+    from oracles import record_objects
+    from vidtext import cli
+
+    segmented = tmp_path / "segmented.jsonl"
+    assert main(["segment", "--input", str(data_dir / "golden_input.jsonl"), "--output", str(segmented)]) == 0
+    records = [json.loads(line) for line in segmented.read_text().splitlines()]
+    # A field fault in segment 5 is named before an invariant fault in segment 0.
+    both = json.loads(json.dumps(records[0]))
+    _regress_word_order(both, 0)
+    _negative_id(both, 5)
+    rng = random.Random(19)
+    spoiled = [both, *(_fuzz(rng, json.loads(json.dumps(rec))) for _ in range(40) for rec in records)]
+    src, stats = tmp_path / "fuzzed.jsonl", tmp_path / "stats.json"
+    src.write_text("".join(json.dumps(rec) + "\n" for rec in spoiled))
+
+    def pack():
+        code, out, err = run_cli(capsys, ["pack", "--input", str(src), "--stats", str(stats)])
+        return code, out, err, stats.read_text()
+
+    def reference(obj):
+        record = record_objects(obj)
+        return dataclasses.replace(record, segments=tuple(map(dump_line, record.segments)))
+
+    got = pack()
+    monkeypatch.setattr(cli, "record_from_json", reference)
+    assert got == pack()
+    code, out, err, _ = got
+    assert err.startswith("line 1: skipped (ValueError: segments[5]: tokens[1]: token id must be non-negative, got -1)\n")
+    assert code == 1 and out and err.count("invalid record") > 30  # clean lines and faults of both kinds
 
 
 def test_eval_story_malformed_line_is_fatal(capsys, tmp_path):

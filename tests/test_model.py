@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import example_violations, record_objects
 from vidtext.model import (
+    PackedExample,
     Segment,
     TimedToken,
     TimedWord,
@@ -16,7 +18,6 @@ from vidtext.model import (
     record_from_json,
     record_to_json,
     round_ms,
-    segment_to_json,
     validate_record,
 )
 
@@ -34,8 +35,19 @@ def make_segment(n_tokens=4, word_tokens=2, t0=0.0, variant="clean"):
 
 
 def written(record):
-    """``record`` with its segments as segment JSON, as the line writers take it."""
-    return dataclasses.replace(record, segments=tuple(map(segment_to_json, record.segments)))
+    """``record`` with its segments as segment JSON, as the line writers take it:
+    each segment written as its fields."""
+    return dataclasses.replace(record, segments=tuple(map(dump_line, record.segments)))
+
+
+def assert_round_trip(record):
+    """The line of ``record`` decodes to its objects and to its segment JSON,
+    and is written back byte for byte."""
+    line = record_to_json(written(record))
+    assert record_objects(json.loads(line)) == record
+    decoded = record_from_json(json.loads(line))
+    assert decoded == written(record)
+    assert record_to_json(decoded) == line
 
 
 def make_record(video_id="v0", n_segments=3):
@@ -89,9 +101,44 @@ def test_validate_record_passes_clean_record():
     assert validate_record(make_record()) is None
 
 
+@st.composite
+def rough_segments(draw):
+    """Segments of up to 8 tokens whose words may regress, disagree on their
+    span, overlap, or miss the frame time."""
+    times = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+    spans = [(t, t + draw(st.sampled_from([0.0, 0.5]))) for t in draw(st.lists(times, min_size=5, max_size=5))]
+    words = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        words.sort()
+    tokens = []
+    for k, word in enumerate(words):
+        start, end = spans[word] if draw(st.integers(0, 3)) else (draw(times), 2.5)
+        tokens.append(TimedToken(id=k, word_index=word, start_s=start, end_s=end))
+    return Segment(tuple(tokens), draw(times))
+
+
+@given(rough_segments())
+@settings(max_examples=200)
+def test_validate_record_names_the_first_violation_of_the_oracle(seg):
+    record = VideoRecord(video_id="v", duration_s=10.0, category="c", has_english_asr=True, segments=(seg,))
+    example = PackedExample((seg,), (("v", 0),))
+    violations = example_violations(example, n_segments=1, l_max=len(seg.tokens))
+    if not violations:
+        assert validate_record(record) is None
+        return
+    with pytest.raises(ValueError) as raised:
+        validate_record(record)
+    assert str(raised.value) == f"invalid record: {violations[0]}"
+
+
 def test_record_round_trip_exact():
-    record = make_record()
-    assert record_from_json(json.loads(record_to_json(written(record)))) == record
+    assert_round_trip(make_record())
+
+
+def test_round_trip_keeps_the_words_of_one_instant_apart():
+    # Two words of no length at one instant share a span: each keeps its index.
+    tokens = [TimedToken(id=k, word_index=k // 2, start_s=1.0, end_s=1.0) for k in range(4)]
+    assert_round_trip(dataclasses.replace(make_record(), segments=(Segment.from_tokens(tokens),)))
 
 
 def test_dump_line_is_compact_and_preserves_unicode():
@@ -121,8 +168,10 @@ def test_jsonl_round_trip(tmp_path):
     with open(path, "w", encoding="utf-8") as fp:
         fp.writelines(record_to_json(written(r)) + "\n" for r in records)
     with open(path, encoding="utf-8") as fp:
-        loaded = [record_from_json(json.loads(line)) for line in fp]
-    assert loaded == records
+        lines = fp.readlines()
+    assert [record_objects(json.loads(line)) for line in lines] == records
+    decoded = [record_from_json(json.loads(line)) for line in lines]
+    assert [record_to_json(r) + "\n" for r in decoded] == lines
 
 
 token_times = st.floats(min_value=0.0, max_value=3600.0, allow_nan=False)
@@ -161,6 +210,5 @@ def test_generated_segments_validate_and_round_trip(seg):
         segments=(seg,),
     )
     assert validate_record(record) is None
-    assert record_from_json(json.loads(record_to_json(written(record)))) == record
     # The segment writer writes a segment as its fields, like every other record.
-    assert segment_to_json(seg) == dump_line(seg)
+    assert_round_trip(record)

@@ -4,10 +4,12 @@ import io
 import json
 import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import example_violations
+from oracles import example_violations, segment_object
+from vidtext.cli import main
 from vidtext.config import PipelineConfig
 from vidtext.model import (
     PackedExample,
@@ -15,7 +17,6 @@ from vidtext.model import (
     TimedToken,
     list_field,
     metadata_from_json,
-    segment_from_json,
     word_from_json,
 )
 from vidtext.pipeline import process_video_line, run_pipeline
@@ -148,7 +149,7 @@ def test_output_examples_validate():
     assert len(lines) == manifest.examples
     for line in lines:
         obj = json.loads(line)
-        segments = [segment_from_json(seg) for seg in obj["segments"]]
+        segments = list_field(obj, "segments", segment_object)
         assert example_violations(PackedExample(segments, obj["provenance"])) == []
 
 
@@ -302,11 +303,25 @@ def test_run_writes_what_the_object_api_writes(
     assert err.getvalue() == want_err
 
 
-def test_run_builds_no_token_objects(monkeypatch, data_dir):
+@pytest.mark.parametrize("command", ["run", "pack"])
+def test_run_builds_no_token_objects(monkeypatch, data_dir, tmp_path, command):
+    golden = data_dir / "golden_input.jsonl"
+    expected = (data_dir / "golden_output.jsonl").read_text()
+    if command == "pack":  # ``segment`` output, packed before and after objects are refused
+        segmented, packed = tmp_path / "segmented.jsonl", tmp_path / "packed.jsonl"
+        assert main(["segment", "--input", str(golden), "--output", str(segmented)]) == 0
+        argv = ["pack", "--input", str(segmented), "--output", str(packed), "--stats", str(tmp_path / "s")]
+        assert main(argv) == 0
+        expected = packed.read_text()
+
     def refuse(self):
-        raise AssertionError(f"{type(self).__name__} built on the run path")
+        raise AssertionError(f"{type(self).__name__} built on the {command} path")
 
     monkeypatch.setattr(TimedToken, "__post_init__", refuse)
     monkeypatch.setattr(Segment, "__post_init__", refuse)
-    _, out = run_to_strings(PipelineConfig(), (data_dir / "golden_input.jsonl").read_text())
-    assert out == (data_dir / "golden_output.jsonl").read_text()
+    if command == "pack":
+        assert main(argv) == 0
+        out = packed.read_text()
+    else:
+        _, out = run_to_strings(PipelineConfig(), golden.read_text())
+    assert out == expected
