@@ -13,6 +13,8 @@ end times of the noisy words it pairs with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from . import _kernels
@@ -74,7 +76,10 @@ def transfer_timing(
     noisy: Sequence[TimedWord],
     clean: Sequence[str],
 ) -> list[TimedWord]:
-    """Give each clean word the mean timing of the noisy words aligned to it."""
+    """Give each clean word the mean timing of the noisy words aligned to it.
+
+    Times are summed left to right: ``sum`` of floats is compensated from
+    Python 3.12 on, which can move a mean across a millisecond."""
     starts: dict[int, list[float]] = {}
     ends: dict[int, list[float]] = {}
     for ni, ci in alignment.pairs:
@@ -91,8 +96,8 @@ def transfer_timing(
         out.append(
             TimedWord(
                 text=str(text),
-                start_s=sum(starts[ci]) / len(starts[ci]),
-                end_s=sum(ends[ci]) / len(ends[ci]),
+                start_s=reduce(add, starts[ci], 0.0) / len(starts[ci]),
+                end_s=reduce(add, ends[ci], 0.0) / len(ends[ci]),
             )
         )
     return out

@@ -11,6 +11,7 @@ configuration, not data.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +41,22 @@ def _load_json(p: Path, kind: type) -> np.ndarray:
     return np.array(typed_list(doc, key, kind), dtype=np.float64 if kind is float else np.int64)
 
 
+def _load_numpy(p: Path, what: str):
+    """``np.load`` of ``p`` if it is a ``what``: a .npy file by its magic bytes, a
+    .npz archive by ``zipfile.is_zipfile``.  Any other file is "<p>: not a <what>",
+    never numpy's advice to unpickle it."""
+    with open(p, "rb") as fp:
+        valid = fp.read(6) == b"\x93NUMPY" if what == ".npy file" else zipfile.is_zipfile(fp)
+    if not valid:
+        raise ValueError(f"{p}: not a {what}")
+    return np.load(p, allow_pickle=False)
+
+
 def load_matrix(path: str | Path) -> np.ndarray:
     """Read a 1-D or 2-D float array from .npy or JSON (by extension)."""
     p = Path(path)
     if p.suffix == ".npy":
-        arr = np.load(p, allow_pickle=False)
+        arr = _load_numpy(p, ".npy file")
         return _check_float_array(arr, str(p))
     return _load_json(p, float)
 
@@ -60,7 +72,7 @@ def load_int_vector(path: str | Path) -> np.ndarray:
     """Read integer labels from .npy or a JSON list."""
     p = Path(path)
     if p.suffix == ".npy":
-        arr = np.load(p, allow_pickle=False)
+        arr = _load_numpy(p, ".npy file")
         if arr.dtype.kind not in ("i", "u"):
             raise ValueError(f"{p}: expected an integer payload, got {arr.dtype}")
         return arr.astype(np.int64)
@@ -68,7 +80,7 @@ def load_int_vector(path: str | Path) -> np.ndarray:
 
 
 def load_order_head(path: str | Path, activation: str = "gelu") -> OrderHeadParams:
-    with np.load(Path(path), allow_pickle=False) as blob:
+    with _load_numpy(Path(path), ".npz archive") as blob:
         missing = [k for k in ("w1", "b1", "w2", "b2") if k not in blob]
         if missing:
             raise ValueError(f"{path}: parameter bundle is missing keys {missing}")

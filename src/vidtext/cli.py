@@ -23,14 +23,14 @@ import os
 import sys
 from contextlib import ExitStack, nullcontext
 from collections import Counter
-from importlib.util import find_spec
 from typing import IO, Any, Callable, Iterator, Sequence
 
 # Only what every subcommand uses is imported here; each handler imports the
 # rest in its own body, and only the subcommand that runs gets its flags, so
 # ``score-order`` and ``align`` load no config, pipeline or tokenizer module.
 # Those two import numpy in their per-line handler, so an input with no line
-# to handle (an empty shard) never loads it.
+# to handle (an empty shard) never loads it.  An output file opens at its first
+# write (``_Output``), so a fatal error before it leaves the file as it was.
 from . import __version__
 from .model import (
     ACCEPTED,
@@ -79,7 +79,8 @@ def _write_objects(fout: IO[str], objs: Iterator[dict[str, Any]]) -> None:
 
 
 def _write_lines(fout: IO[str], lines: Iterator[str]) -> None:
-    fout.writelines(line + "\n" for line in lines)
+    for line in lines:
+        fout.write(line + "\n")
 
 
 def _stream(args, handle: Callable[[Any], Any], write=_write_objects) -> int:
@@ -125,14 +126,39 @@ def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(flag, dest=name, default=None, help=_FLAG_HELP.get(name), **kw)
 
 
+class _Output:
+    """A text file opened at its first ``write``, so a fatal error raised before
+    it leaves the file as it was; its ``__exit__`` after a command that ends
+    well creates it empty if nothing was written, and closes it."""
+
+    _fp: IO[str] | None = None
+
+    def __init__(self, path: str) -> None:
+        self._path = path
+
+    def write(self, s: str) -> int:
+        if self._fp is None:
+            self._fp = open(self._path, "w", encoding="utf-8")
+        return self._fp.write(s)
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.write("")
+        if self._fp is not None:
+            self._fp.close()
+
+
 def _open_streams(args, stack: ExitStack) -> tuple[IO, IO[str]]:
-    """Input as bytes, so a line that is not UTF-8 is a data error of its own."""
+    """Input as bytes, so a line that is not UTF-8 is a data error of its own.
+    An output flag that names the ``--input`` file is fatal before any line is read."""
     fin = getattr(sys.stdin, "buffer", sys.stdin)  # a replaced stdin may be text
     if args.input:
         fin = stack.enter_context(open(args.input, "rb"))
-    fout = sys.stdout
-    if args.output:
-        fout = stack.enter_context(open(args.output, "w", encoding="utf-8"))
+        for flag in ("output", "frame_manifest", "manifest", "stats"):
+            path = getattr(args, flag, None)
+            if path and os.path.exists(path) and os.path.samefile(path, args.input):
+                raise ValueError(f"--{flag.replace('_', '-')} {path} is the --input file")
+    fout = stack.push(_Output(args.output)) if args.output else sys.stdout
     return fin, fout
 
 
@@ -173,15 +199,7 @@ def _cmd_filter(args) -> int:
     return _stream(args, decide)
 
 
-def _need_numpy() -> None:
-    """Fail before ``_stream`` opens ``--output``; numpy loads at the first line."""
-    if find_spec("numpy") is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-
-
 def _cmd_align(args) -> int:
-    _need_numpy()
-
     def handle(obj: Any) -> dict[str, Any]:
         from .align import align_and_time
 
@@ -222,11 +240,7 @@ def _cmd_segment(args) -> int:
     tokenizer = load_tokenizer(cfg.tokenizer_path)
 
     with ExitStack() as stack:
-        frames_fp = (
-            stack.enter_context(open(args.frame_manifest, "w", encoding="utf-8"))
-            if args.frame_manifest
-            else None
-        )
+        frames_fp = stack.push(_Output(args.frame_manifest)) if args.frame_manifest else None
 
         def handle(obj: Any) -> str:
             record, frames = segment_video(*decode_video(obj), cfg, tokenizer)
@@ -355,7 +369,6 @@ def _table_from_json(obj: dict[str, Any], kinds: tuple[int, ...] = (2, 4)) -> tu
 
 
 def _cmd_score_order(args) -> int:
-    _need_numpy()
     cli = sys.modules[__name__]
 
     def handle(obj: Any) -> dict[str, Any]:
@@ -416,15 +429,11 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .pipeline import check_jobs, run_pipeline
-    from .tokenizers import load_tokenizer
+    from .pipeline import run_pipeline
 
-    cfg = _config_from_args(args)
-    check_jobs(args.jobs)  # fatal faults first: opening --output truncates it
-    tokenizer = load_tokenizer(cfg.tokenizer_path)
     with ExitStack() as stack:
         fin, fout = _open_streams(args, stack)
-        manifest = run_pipeline(cfg, fin, fout, jobs=args.jobs, tokenizer=tokenizer)
+        manifest = run_pipeline(_config_from_args(args), fin, fout, jobs=args.jobs)
     _write_report(args.manifest, manifest.to_json())
     return 1 if manifest.data_errors else 0
 

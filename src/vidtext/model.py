@@ -245,15 +245,12 @@ def typed_field(obj: dict[str, Any], key: str, kind: type) -> Any:
 
 
 def _seconds_field(obj: dict[str, Any], key: str) -> float:
-    """A time in seconds: a JSON number, non-negative and finite in milliseconds."""
+    """A time in seconds: a JSON number, non-negative and finite in
+    milliseconds, as ``_column`` checks it."""
     value = _member(obj, key)
-    if type(value) is float or type(value) is int:
-        try:
-            if 0.0 <= value * 1000.0 < math.inf:  # NaN fails both comparisons
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ValueError(f"{key} must be a finite number >= 0, got {value!r:.40}")
+    if _column([value], float) is None:
+        raise ValueError(f"{key} must be a finite number >= 0, got {value!r:.40}")
+    return float(value)
 
 
 def _list(items: Any, where: str) -> list:

@@ -210,24 +210,19 @@ def write_examples(
     return stats
 
 
-def check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-
 def run_pipeline(
     config: PipelineConfig,
     input_fp: IO[str],
     output_fp: IO[str],
     jobs: int = 1,
-    tokenizer=None,
 ) -> RunManifest:
     """Drive the full filter -> segment -> pack pipeline over JSONL streams.
 
-    Without a tokenizer this loads the config's.  Each data error gets a
-    ``note_skip`` in input order; the manifest keeps the first 10 messages."""
-    check_jobs(jobs)
-    tok = tokenizer if tokenizer is not None else load_tokenizer(config.tokenizer_path)
+    Each data error gets a ``note_skip`` in input order; the manifest keeps
+    the first 10 messages."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    tok = load_tokenizer(config.tokenizer_path)
     manifest = RunManifest(config=config.to_json(), config_sha256=config.sha256())
 
     def note(lineno: int, message: str) -> None:

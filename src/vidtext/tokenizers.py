@@ -73,6 +73,11 @@ class ByteBpeTokenizer:
         vocab: dict[str, int],
         merges: list[tuple[str, str]],
     ) -> None:
+        if not isinstance(vocab, dict):
+            raise ValueError(f"vocabulary must be an object of token ids, got {vocab!r:.40}")
+        for token, i in vocab.items():
+            if type(i) is not int or i < 0:
+                raise ValueError(f"id of {token!r:.40} must be a non-negative integer, got {i!r:.40}")
         self._vocab = dict(vocab)
         self._inverse = {i: t for t, i in self._vocab.items()}
         if len(self._inverse) != len(self._vocab):
@@ -86,17 +91,24 @@ class ByteBpeTokenizer:
 
     @classmethod
     def from_files(cls, vocab_path: str | Path, merges_path: str | Path) -> "ByteBpeTokenizer":
-        with open(vocab_path, encoding="utf-8") as fp:
-            vocab = json.load(fp)
+        """A tokenizer from a ``vocab.json`` and a ``merges.txt``.  A fault in
+        ``vocab.json`` raises a ``ValueError`` that names the file, and a
+        ``merges.txt`` line that is not two tokens names the file and the line."""
         merges: list[tuple[str, str]] = []
         with open(merges_path, encoding="utf-8") as fp:
-            for line in fp:
+            for lineno, line in enumerate(fp, start=1):
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):
                     continue
-                a, b = line.split(" ")
-                merges.append((a, b))
-        return cls(vocab, merges)
+                pair = tuple(line.split(" "))
+                if len(pair) != 2:
+                    raise ValueError(f"{merges_path} line {lineno}: expected 2 tokens, got {line!r:.40}")
+                merges.append(pair)
+        try:
+            with open(vocab_path, encoding="utf-8") as fp:
+                return cls(json.load(fp), merges)
+        except ValueError as e:
+            raise ValueError(f"{vocab_path}: {e}") from None
 
     def _bpe(self, chars: list[str]) -> list[str]:
         parts = chars

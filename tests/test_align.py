@@ -11,8 +11,8 @@ from oracles import (
     levenshtein_recursive,
 )
 from vidtext._kernels import FILL_BLOCK, ROW_BLOCK
-from vidtext.align import align_and_time, dtw_align, levenshtein, transfer_timing
-from vidtext.model import TimedWord
+from vidtext.align import Alignment, align_and_time, dtw_align, levenshtein, transfer_timing
+from vidtext.model import TimedWord, round_ms
 
 word = st.text(
     alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=6
@@ -139,6 +139,18 @@ def test_transfer_timing_averages_multiple_noisy_words():
     assert timed[0].text == "ab"
     assert timed[0].start_s == pytest.approx((0.0 + 1.0) / 2)
     assert timed[0].end_s == pytest.approx((0.5 + 1.5) / 2)
+
+
+def test_transfer_timing_sums_left_to_right():
+    # A compensated sum (Python 3.12's sum) gives 95.0105 exactly, which rounds to 95.01.
+    starts = [95.474, 95.014, 95.99, 93.564]
+    noisy = [TimedWord(text=f"w{k}", start_s=s, end_s=s + 1.0) for k, s in enumerate(starts)]
+    alignment = Alignment(pairs=tuple((k, 0) for k in range(len(starts))), total_cost=0)
+    total = 0.0
+    for s in starts:
+        total += s
+    (timed,) = transfer_timing(alignment, noisy, ["w"])
+    assert timed.start_s == round_ms(total / len(starts)) == 95.011
 
 
 def test_transfer_timing_single_matches_copy_spans():

@@ -29,6 +29,32 @@ def test_matrix_from_json(tmp_path):
     np.testing.assert_array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize(
+    "load,name,content,message",
+    [
+        (load_matrix, "m.npy", b"not an array", "not a .npy file"),
+        (load_matrix, "m.npy", b"", "not a .npy file"),
+        (load_int_vector, "v.npy", b"\x80\x04K\x01.", "not a .npy file"),  # a pickle
+        (load_order_head, "h.npz", b"not an archive", "not a .npz archive"),
+        (load_order_head, "h.npz", b"PK\x03\x04" + bytes(20), "not a .npz archive"),  # cut short
+    ],
+)
+def test_a_file_that_is_not_a_numpy_file_is_named(tmp_path, load, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_an_npy_file_is_not_an_npz_archive(tmp_path):
+    path = tmp_path / "h.npz"
+    with open(path, "wb") as fp:
+        np.save(fp, np.ones(3))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not a .npz archive")):
+        load_order_head(path)
+
+
 def test_matrix_rejects_integer_npy(tmp_path):
     path = tmp_path / "m.npy"
     np.save(path, np.arange(6).reshape(2, 3))

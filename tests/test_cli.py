@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -18,8 +19,6 @@ from vidtext.model import dump_line
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        import io
-
         assert monkeypatch is not None
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(argv)
@@ -162,20 +161,23 @@ for argv in {argvs!r}:
 
 @pytest.mark.parametrize("command", list(VALID))
 def test_a_missing_numpy_is_fatal_before_the_output_is_opened(tmp_path, command):
-    # Never a data error, and an existing --output keeps its bytes.
+    # Never a data error, and an existing --output keeps its bytes; a shard with
+    # no line to handle needs no numpy.
     argvs = _first_line_argvs(tmp_path, command)
     for argv in argvs:
         Path(argv[-1]).write_text("keep\n", encoding="utf-8")
     code = f"""
-import sys
-sys.modules["numpy"] = None  # importing it now raises ImportError
+import os, sys
+sys.path[:] = [p for p in sys.path if not os.path.isdir(os.path.join(p, "numpy"))]  # as if not installed
 from vidtext.cli import main
 print([main(argv) for argv in {argvs!r}])
 """
     done = _python(code)
-    assert done.stdout.splitlines() == ["[2, 2, 2]"], done
-    assert done.stderr.splitlines() == ["error: No module named 'numpy'"] * 3, done
-    assert [Path(argv[-1]).read_text(encoding="utf-8") for argv in argvs] == ["keep\n"] * 3
+    assert done.stdout.splitlines() == ["[0, 1, 2]"], done
+    note, *errors = done.stderr.splitlines()
+    assert note.startswith("line 1: skipped (JSONDecodeError: "), done
+    assert errors == ["error: No module named 'numpy'"], done
+    assert [Path(argv[-1]).read_text(encoding="utf-8") for argv in argvs] == ["", "", "keep\n"]
 
 
 @pytest.mark.parametrize(
@@ -341,14 +343,113 @@ def test_an_unloadable_tokenizer_is_one_fatal_error_at_any_jobs(tmp_path, data_d
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
 
-def test_a_failed_run_start_leaves_the_output_file(capsys, tmp_path, data_dir):
+def test_a_failed_run_start_leaves_the_output_file(capsys, monkeypatch, tmp_path, data_dir):
+    import multiprocessing
+
+    def failing_pool(*args, **kwargs):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing, "Pool", failing_pool)
     out = tmp_path / "out.jsonl"
     out.write_bytes(b"earlier output\n")
-    for flags in (["--jobs", "0"], ["--tokenizer", str(tmp_path / "missing")]):
+    for flags in (["--jobs", "0"], ["--tokenizer", str(tmp_path / "missing")], ["--jobs", "2"]):
         argv = ["run", "--input", str(data_dir / "golden_input.jsonl"), "--output", str(out)]
         code, _, err = run_cli(capsys, argv + flags)
         assert code == 2 and err.startswith("error: "), err
         assert out.read_bytes() == b"earlier output\n"
+
+
+# Each streaming subcommand with the flags it needs besides --input and --output;
+# {name} is a file of that name beside the output.
+STREAMS = {
+    "filter": ["filter"],
+    "align": ["align"],
+    "corrupt": ["corrupt"],
+    "segment": ["segment", "--frame-manifest", "{frames}"],
+    "pack": ["pack", "--stats", "{stats}"],
+    "mask": ["mask", "--vocab-size", "300", "--mask-id", "256"],
+    "score-order": ["score-order"],
+    "run-j1": ["run", "--jobs", "1", "--manifest", "{manifest}"],
+    "run-j2": ["run", "--jobs", "2", "--manifest", "{manifest}"],
+}
+
+
+def _stream_argv(tmp_path, name: str) -> tuple[list[str], list[Path]]:
+    """``name``'s argv on ``in.jsonl``, and its output and frame manifest files."""
+    files = {key: tmp_path / f"{key}.jsonl" for key in ("out", "frames", "stats", "manifest")}
+    argv = [arg.format(**files) for arg in STREAMS[name]]
+    argv += ["--input", str(tmp_path / "in.jsonl"), "--output", str(files["out"])]
+    return argv, [files["out"], *([files["frames"]] if name == "segment" else [])]
+
+
+@pytest.mark.parametrize("name", list(STREAMS))
+def test_a_fatal_error_before_the_first_write_leaves_the_outputs(capsys, monkeypatch, tmp_path, name):
+    import builtins
+
+    import vidtext.cli
+
+    class Unreadable(io.BytesIO):
+        def __iter__(self):
+            raise OSError(5, "Input/output error")
+
+    def failing_read(file, mode="r", *args, **kwargs):
+        return Unreadable() if mode == "rb" else builtins.open(file, mode, *args, **kwargs)
+
+    argv, outputs = _stream_argv(tmp_path, name)
+    (tmp_path / "in.jsonl").write_bytes(b"{}\n")
+    for path in outputs:
+        path.write_bytes(b"earlier output\n")
+    monkeypatch.setattr(vidtext.cli, "open", failing_read, raising=False)
+    assert run_cli(capsys, argv) == (2, "", "error: [Errno 5] Input/output error\n")
+    assert [path.read_bytes() for path in outputs] == [b"earlier output\n"] * len(outputs)
+
+
+@pytest.mark.parametrize("text,status", [("", 0), ("{\n", 1)])
+@pytest.mark.parametrize("name", list(STREAMS))
+def test_an_input_without_output_lines_leaves_empty_outputs(capsys, tmp_path, name, text, status):
+    argv, outputs = _stream_argv(tmp_path, name)
+    (tmp_path / "in.jsonl").write_text(text, encoding="utf-8")
+    for path in outputs:
+        path.write_bytes(b"earlier output\n")
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out) == (status, "")
+    assert [path.read_bytes() for path in outputs] == [b""] * len(outputs)
+
+
+VIDEO = {"video_id": "v", "duration_s": 10.0, "category": "Howto", "has_english_asr": True}
+
+
+@pytest.mark.parametrize("text", ["", json.dumps(VIDEO) + "\n"])
+def test_an_output_that_cannot_be_opened_is_fatal(capsys, tmp_path, text):
+    # Opened at the first write, or at the end when nothing was written.
+    src, out = tmp_path / "in.jsonl", tmp_path / "missing" / "out.jsonl"
+    src.write_text(text, encoding="utf-8")
+    code, stdout, err = run_cli(capsys, ["filter", "--input", str(src), "--output", str(out)])
+    assert (code, stdout, err) == (2, "", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "--output", "{same}"],
+        ["run", "--output", "{same}"],
+        ["run", "--output", "{out}", "--manifest", "{same}"],
+        ["segment", "--output", "{out}", "--frame-manifest", "{same}"],
+        ["pack", "--output", "{out}", "--stats", "{same}"],
+    ],
+)
+def test_an_output_that_is_the_input_file_is_fatal(capsys, tmp_path, data_dir, argv):
+    # The input would be truncated before its first line is read.
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_bytes((data_dir / "golden_input.jsonl").read_bytes())
+    out.write_bytes(b"earlier output\n")
+    same = tmp_path / "sub" / ".." / "in.jsonl"  # another name of the input file
+    (tmp_path / "sub").mkdir()
+    argv = [arg.format(same=same, out=out) for arg in argv] + ["--input", str(src)]
+    flag = argv[argv.index(str(same)) - 1]
+    assert run_cli(capsys, argv) == (2, "", f"error: {flag} {same} is the --input file\n")
+    assert src.read_bytes() == (data_dir / "golden_input.jsonl").read_bytes()
+    assert out.read_bytes() == b"earlier output\n"
 
 
 def test_shape_defaults(capsys):
@@ -580,6 +681,48 @@ def test_loss_ragged_json_matrix_names_the_file_and_row(capsys, tmp_path):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert f"error: {ragged}[1] has 1 entries, {ragged}[0] has 2" in err
+
+
+@pytest.mark.parametrize("activation", ["gelu", "relu"])
+def test_loss_order_is_the_library_loss_of_the_head_logits(capsys, tmp_path, activation):
+    from vidtext.arrayio import save_order_head
+    from vidtext.losses import OrderHeadParams, order_logits, ordering_loss
+
+    rng = np.random.default_rng(11)
+    params = OrderHeadParams(
+        w1=rng.normal(size=(5, 6)), b1=rng.normal(size=5), w2=rng.normal(size=(4, 5)),
+        b2=rng.normal(size=4), activation=activation,
+    )
+    pairs, classes = rng.normal(size=(6, 6)), rng.integers(0, 4, size=6)
+    head = tmp_path / "head.npz"
+    save_order_head(head, params)
+    files = {"pairs": pairs, "narrow": pairs[:, :4], "classes": classes, "five": classes[:5]}
+    for name, arr in files.items():
+        np.save(tmp_path / f"{name}.npy", arr)
+
+    def loss_order(pairs_name: str, classes_name: str):
+        argv = ["loss", "order", "--params", str(head), "--activation", activation,
+                "--pairs", str(tmp_path / f"{pairs_name}.npy"),
+                "--classes", str(tmp_path / f"{classes_name}.npy")]
+        return run_cli(capsys, argv)
+
+    logits = [order_logits(row[:3], row[3:], params) for row in pairs]
+    value = ordering_loss(logits, [int(c) for c in classes]).value
+    assert loss_order("pairs", "classes") == (0, dump_line({"schema_version": "1", "loss": "order", "value": value}) + "\n", "")
+    assert loss_order("narrow", "classes") == (2, "", "error: pairs must be rows of 6 values, got (6, 4)\n")
+    assert loss_order("pairs", "five") == (2, "", "error: 6 logit vectors but 5 labels\n")
+
+
+def test_loss_mlm_is_the_library_loss(capsys, tmp_path):
+    from vidtext.losses import masked_lm_loss
+
+    logits, labels = [[0.5, 0.1, -1.0], [0.2, 0.3, 2.0], [0.1, 0.9, 0.0]], [1, -100, 2]
+    paths = tmp_path / "logits.json", tmp_path / "labels.json"
+    for path, value in zip(paths, (logits, labels)):
+        path.write_text(json.dumps(value), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["loss", "mlm", "--logits", str(paths[0]), "--labels", str(paths[1])])
+    value = masked_lm_loss(np.array(logits), np.array(labels)).value
+    assert (code, json.loads(out), err) == (0, {"schema_version": "1", "loss": "mlm", "value": value}, "")
 
 
 def test_loss_combine(capsys):

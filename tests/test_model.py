@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,16 +11,22 @@ from hypothesis import strategies as st
 
 from oracles import example_violations, record_objects
 from vidtext.model import (
+    TOKEN_COLUMNS,
+    WORD_COLUMNS,
     PackedExample,
     Segment,
     TimedToken,
     TimedWord,
     VideoRecord,
+    columns_field,
     dump_line,
+    list_field,
     record_from_json,
     record_to_json,
     round_ms,
+    token_from_json,
     validate_record,
+    word_from_json,
 )
 
 
@@ -212,3 +220,64 @@ def test_generated_segments_validate_and_round_trip(seg):
     assert validate_record(record) is None
     # The segment writer writes a segment as its fields, like every other record.
     assert_round_trip(record)
+
+
+# Times at the edges of the millisecond rule, and values no field decoder takes.
+_TIMES = st.one_of(
+    st.integers(min_value=0, max_value=5),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.sampled_from([0.0005, 0.0015, 1e305, sys.float_info.max]),
+)
+_BAD = {  # by column kind
+    str: [1, None, True, ["a"]],
+    int: [-1, -(10**400), True, 1.0, "1", None],
+    float: [-1, -0.0004, math.nan, math.inf, 10**400, -(10**400), True, "1", None],
+}
+
+
+@st.composite
+def column_lists(draw):
+    """``(kinds, decode, obj)``: up to four word or token objects under
+    ``obj["items"]``, each end at or after its start, with at most one fault:
+    a bad value, a missing field, an end before its start, or no object."""
+    kinds, decode = draw(st.sampled_from([(WORD_COLUMNS, word_from_json), (TOKEN_COLUMNS, token_from_json)]))
+    items = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        item = {"text": draw(st.text(max_size=3))} if kinds is WORD_COLUMNS else {
+            "id": draw(st.integers(min_value=0, max_value=5)),
+            "word_index": draw(st.integers(min_value=0, max_value=5)),
+        }
+        item["start_s"] = draw(_TIMES)
+        item["end_s"] = item["start_s"] + draw(st.sampled_from([0, 0.0004, 0.5]))
+        items.append(item)
+    fault = draw(st.sampled_from(["none", "value", "value", "value", "missing", "reversed", "not an object"]))
+    if items and fault != "none":
+        k, name = draw(st.integers(min_value=0, max_value=len(items) - 1)), draw(st.sampled_from(list(kinds)))
+        if fault == "value":
+            items[k][name] = draw(st.sampled_from(_BAD[kinds[name]]))
+        elif fault == "missing":
+            del items[k][name]
+        elif fault == "reversed":
+            items[k]["end_s"] = items[k]["start_s"] - draw(st.sampled_from([0.0004, 0.0006, 1]))
+        else:
+            items[k] = draw(st.sampled_from([None, "item", [], 0]))
+    return kinds, decode, {"items": items}
+
+
+@given(column_lists())
+@settings(max_examples=400, deadline=None)
+def test_columns_take_exactly_what_the_field_decoders_take(case):
+    kinds, decode, obj = case
+
+    def no_fallback(item):
+        raise AssertionError("a list the object decoder takes is decoded as columns")
+
+    try:
+        decoded = list_field(obj, "items", decode)
+    except ValueError as e:
+        with pytest.raises(ValueError) as raised:
+            columns_field(obj, "items", kinds, decode)
+        assert str(raised.value) == str(e)
+    else:
+        columns = [[getattr(item, name) for item in decoded] for name in kinds]
+        assert columns_field(obj, "items", kinds, no_fallback) == columns

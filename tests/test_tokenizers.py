@@ -63,6 +63,38 @@ def test_load_tokenizer_missing_files(tmp_path):
         load_tokenizer(str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "vocab,merges,where,message",
+    [
+        ('{"a": 0, "b": -1}', "", "vocab", "id of 'b' must be a non-negative integer, got -1"),
+        ('{"a": "x"}', "", "vocab", "id of 'a' must be a non-negative integer, got 'x'"),
+        ('{"a": true}', "", "vocab", "id of 'a' must be a non-negative integer, got True"),
+        ('["a"]', "", "vocab", "vocabulary must be an object of token ids, got ['a']"),
+        ('{"a": 0}', "#version: 1\na b c\n", "merges", "line 2: expected 2 tokens, got 'a b c'"),
+    ],
+)
+def test_a_bad_tokenizer_file_is_named_when_it_loads(tmp_path, vocab, merges, where, message):
+    (tmp_path / "vocab.json").write_text(vocab, encoding="utf-8")
+    (tmp_path / "merges.txt").write_text(merges, encoding="utf-8")
+    path = tmp_path / ("vocab.json" if where == "vocab" else "merges.txt")
+    sep = ": " if where == "vocab" else " "
+    with pytest.raises(ValueError) as info:
+        load_tokenizer(tmp_path)
+    assert str(info.value) == f"{path}{sep}{message}"
+
+
+def test_a_negative_token_id_is_fatal_not_a_data_error(capsys, tmp_path, data_dir):
+    from vidtext.cli import main
+
+    (tmp_path / "vocab.json").write_text('{"b": -1}', encoding="utf-8")
+    (tmp_path / "merges.txt").write_text("", encoding="utf-8")
+    argv = ["segment", "--tokenizer", str(tmp_path), "--input", str(data_dir / "golden_input.jsonl")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'vocab.json'}: id of 'b' must be a non-negative integer, got -1\n"
+
+
 def test_tokenize_words_tokens_inherit_word_spans():
     tok = ByteTokenizer()
     words = [
