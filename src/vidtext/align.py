@@ -18,7 +18,7 @@ from operator import add
 from typing import Sequence
 
 from . import _kernels
-from .model import TimedWord
+from .model import round_ms
 
 
 @dataclass(frozen=True)
@@ -73,39 +73,37 @@ def dtw_align(noisy: Sequence[str], clean: Sequence[str]) -> Alignment:
 
 def transfer_timing(
     alignment: Alignment,
-    noisy: Sequence[TimedWord],
+    starts: Sequence[float],
+    ends: Sequence[float],
     clean: Sequence[str],
-) -> list[TimedWord]:
-    """Give each clean word the mean timing of the noisy words aligned to it.
+) -> list[list]:
+    """Give each clean word the mean timing of the noisy words aligned to it:
+    the clean words as ``WORD_COLUMNS`` columns, from the noisy start and end columns.
 
     Times are summed left to right: ``sum`` of floats is compensated from
     Python 3.12 on, which can move a mean across a millisecond."""
-    starts: dict[int, list[float]] = {}
-    ends: dict[int, list[float]] = {}
+    starts_of: dict[int, list[float]] = {}
+    ends_of: dict[int, list[float]] = {}
     for ni, ci in alignment.pairs:
-        if not 0 <= ni < len(noisy):
+        if not 0 <= ni < len(starts):
             raise ValueError(f"alignment names noisy index {ni} outside the input")
         if not 0 <= ci < len(clean):
             raise ValueError(f"alignment names clean index {ci} outside the input")
-        starts.setdefault(ci, []).append(noisy[ni].start_s)
-        ends.setdefault(ci, []).append(noisy[ni].end_s)
-    out: list[TimedWord] = []
-    for ci, text in enumerate(clean):
-        if ci not in starts:
+        starts_of.setdefault(ci, []).append(starts[ni])
+        ends_of.setdefault(ci, []).append(ends[ni])
+    for ci in range(len(clean)):
+        if ci not in starts_of:
             raise ValueError(f"clean index {ci} has no aligned noisy word")
-        out.append(
-            TimedWord(
-                text=str(text),
-                start_s=reduce(add, starts[ci], 0.0) / len(starts[ci]),
-                end_s=reduce(add, ends[ci], 0.0) / len(ends[ci]),
-            )
-        )
-    return out
+
+    def means(times: dict[int, list[float]]) -> list[float]:
+        return [round_ms(reduce(add, times[ci], 0.0) / len(times[ci])) for ci in range(len(clean))]
+
+    return [[str(text) for text in clean], means(starts_of), means(ends_of)]
 
 
-def align_and_time(
-    noisy: Sequence[TimedWord], clean: Sequence[str]
-) -> tuple[Alignment, list[TimedWord]]:
-    """Align noisy timed words against clean text and transfer the timing."""
-    alignment = dtw_align([w.text for w in noisy], clean)
-    return alignment, transfer_timing(alignment, noisy, clean)
+def align_and_time(words: Sequence[Sequence], clean: Sequence[str]) -> tuple[Alignment, list[list]]:
+    """Align noisy timed words, as ``WORD_COLUMNS`` columns, against clean text
+    and transfer the timing; the clean words come back as columns too."""
+    texts, starts, ends = words
+    alignment = dtw_align(texts, clean)
+    return alignment, transfer_timing(alignment, starts, ends, clean)

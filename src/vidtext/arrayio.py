@@ -34,8 +34,11 @@ def _check_float_array(arr: np.ndarray, where: str) -> np.ndarray:
 def _load_json(p: Path, kind: type) -> np.ndarray:
     """The JSON list in ``p``, or for floats a list of rows, checked by ``model``'s rule."""
     key = str(p)  # the path as the field name, so every error names the file
-    with open(p, encoding="utf-8") as fp:
-        doc = {key: json.load(fp)}
+    try:
+        with open(p, encoding="utf-8") as fp:
+            doc = {key: json.load(fp)}
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{p}: {e}") from None
     if kind is float and type(doc[key]) is list and doc[key] and type(doc[key][0]) is list:
         return np.array(typed_rows(doc, key, float), dtype=np.float64)
     return np.array(typed_list(doc, key, kind), dtype=np.float64 if kind is float else np.int64)

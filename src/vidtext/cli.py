@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from contextlib import ExitStack, nullcontext
 from collections import Counter
@@ -37,10 +38,11 @@ from .model import (
     DATA_ERRORS,
     ERROR,
     SCHEMA_VERSION,
+    WORD_COLUMNS,
+    columns_field,
     decode_line,
     dump_line,
     line_outcome,
-    list_field,
     note_skip,
     numbered_lines,
     outcomes,
@@ -150,14 +152,21 @@ class _Output:
 
 def _open_streams(args, stack: ExitStack) -> tuple[IO, IO[str]]:
     """Input as bytes, so a line that is not UTF-8 is a data error of its own.
-    An output flag that names the ``--input`` file is fatal before any line is read."""
+    An output flag that names the regular file the input is read from, by
+    ``--input`` or a redirected stdin, is fatal before any line is read."""
     fin = getattr(sys.stdin, "buffer", sys.stdin)  # a replaced stdin may be text
     if args.input:
         fin = stack.enter_context(open(args.input, "rb"))
+    try:
+        source = os.fstat(fin.fileno())
+    except OSError:  # a replaced stdin may have no file descriptor
+        source = None
+    if source is not None and stat.S_ISREG(source.st_mode):
         for flag in ("output", "frame_manifest", "manifest", "stats"):
             path = getattr(args, flag, None)
-            if path and os.path.exists(path) and os.path.samefile(path, args.input):
-                raise ValueError(f"--{flag.replace('_', '-')} {path} is the --input file")
+            if path and os.path.exists(path) and os.path.samestat(source, os.stat(path)):
+                what = "the --input file" if args.input else "the file stdin reads"
+                raise ValueError(f"--{flag.replace('_', '-')} {path} is {what}")
     fout = stack.push(_Output(args.output)) if args.output else sys.stdout
     return fin, fout
 
@@ -203,10 +212,9 @@ def _cmd_align(args) -> int:
     def handle(obj: Any) -> dict[str, Any]:
         from .align import align_and_time
 
-        noisy = list_field(obj, "noisy", word_from_json)
-        clean = typed_list(obj, "clean", str)
-        alignment, timed = align_and_time(noisy, clean)
-        return {**vars(alignment), "clean_words": timed}
+        noisy = columns_field(obj, "noisy", WORD_COLUMNS, word_from_json)
+        alignment, timed = align_and_time(noisy, typed_list(obj, "clean", str))
+        return {**vars(alignment), "clean_words": [dict(zip(WORD_COLUMNS, w)) for w in zip(*timed)]}
 
     return _stream(args, handle)
 

@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import PipelineConfig
+from .masking import allowed_ids
 from .tokenizers import Tokenizer
 
 
@@ -159,10 +160,7 @@ def corrupt_document(
     rng = np.random.default_rng(seed)
     allowed = None
     if tokenizer is not None:
-        allowed = np.array(
-            sorted(set(range(tokenizer.vocab_size)) - set(tokenizer.special_ids)),
-            dtype=np.int64,
-        )
+        allowed = allowed_ids(tokenizer.vocab_size, tokenizer.special_ids)
         if len(allowed) == 0:
             raise ValueError("tokenizer has no non-special ids to sample from")
     if table is None:

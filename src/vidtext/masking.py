@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -237,6 +237,14 @@ def check_vocabulary(vocab_size: int, mask_id: int) -> None:
         raise ValueError(f"mask_id {mask_id} outside vocabulary of {vocab_size}")
 
 
+def allowed_ids(vocab_size: int, banned: Iterable[int]) -> np.ndarray:
+    """The ids ``0 .. vocab_size - 1`` not in ``banned``, in order, as int64;
+    a banned id outside the vocabulary is ignored."""
+    keep = np.ones(max(vocab_size, 0), dtype=bool)
+    keep[[i for i in banned if 0 <= i < vocab_size]] = False
+    return np.flatnonzero(keep).astype(np.int64, copy=False)
+
+
 def apply_plan(
     tokens: Sequence[int],
     plan: MaskPlan,
@@ -272,9 +280,7 @@ def apply_plan(
             out[pos] = mask_id
         elif action == ACTION_RANDOM:
             if allowed is None:
-                allowed = np.array(
-                    [i for i in range(vocab_size) if i not in banned], dtype=np.int64
-                )
+                allowed = allowed_ids(vocab_size, banned)
                 if allowed.size == 0:
                     raise ValueError("no non-special ids available for random tokens")
             out[pos] = int(allowed[int(rng.integers(0, allowed.size))])

@@ -75,6 +75,8 @@ class ByteBpeTokenizer:
     ) -> None:
         if not isinstance(vocab, dict):
             raise ValueError(f"vocabulary must be an object of token ids, got {vocab!r:.40}")
+        if not vocab:
+            raise ValueError("vocabulary holds no token")
         for token, i in vocab.items():
             if type(i) is not int or i < 0:
                 raise ValueError(f"id of {token!r:.40} must be a non-negative integer, got {i!r:.40}")

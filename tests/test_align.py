@@ -12,7 +12,7 @@ from oracles import (
 )
 from vidtext._kernels import FILL_BLOCK, ROW_BLOCK
 from vidtext.align import Alignment, align_and_time, dtw_align, levenshtein, transfer_timing
-from vidtext.model import TimedWord, round_ms
+from vidtext.model import round_ms
 
 word = st.text(
     alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=6
@@ -124,50 +124,45 @@ def test_alignment_path_is_monotone_and_covers_everything(noisy, clean):
 
 
 def _timed(texts, step=1.0):
-    out = []
-    for k, t in enumerate(texts):
-        out.append(TimedWord(text=t, start_s=k * step, end_s=k * step + 0.5))
-    return out
+    """``WORD_COLUMNS`` columns of ``texts``, one word per ``step`` seconds, each 0.5 s long."""
+    return [list(texts), [k * step for k in range(len(texts))], [k * step + 0.5 for k in range(len(texts))]]
 
 
 def test_transfer_timing_averages_multiple_noisy_words():
-    noisy = _timed(["aa", "bb"])
+    texts, starts, ends = _timed(["aa", "bb"])
     clean = ["ab"]
-    alignment = dtw_align([w.text for w in noisy], clean)
+    alignment = dtw_align(texts, clean)
     assert alignment.pairs == ((0, 0), (1, 0))
-    timed = transfer_timing(alignment, noisy, clean)
-    assert timed[0].text == "ab"
-    assert timed[0].start_s == pytest.approx((0.0 + 1.0) / 2)
-    assert timed[0].end_s == pytest.approx((0.5 + 1.5) / 2)
+    timed = transfer_timing(alignment, starts, ends, clean)
+    assert timed[0] == ["ab"]
+    assert timed[1][0] == pytest.approx((0.0 + 1.0) / 2)
+    assert timed[2][0] == pytest.approx((0.5 + 1.5) / 2)
 
 
 def test_transfer_timing_sums_left_to_right():
     # A compensated sum (Python 3.12's sum) gives 95.0105 exactly, which rounds to 95.01.
     starts = [95.474, 95.014, 95.99, 93.564]
-    noisy = [TimedWord(text=f"w{k}", start_s=s, end_s=s + 1.0) for k, s in enumerate(starts)]
     alignment = Alignment(pairs=tuple((k, 0) for k in range(len(starts))), total_cost=0)
     total = 0.0
     for s in starts:
         total += s
-    (timed,) = transfer_timing(alignment, noisy, ["w"])
-    assert timed.start_s == round_ms(total / len(starts)) == 95.011
+    _, (start_s,), _ = transfer_timing(alignment, starts, [s + 1.0 for s in starts], ["w"])
+    assert start_s == round_ms(total / len(starts)) == 95.011
 
 
 def test_transfer_timing_single_matches_copy_spans():
-    noisy = _timed(["hello", "world"])
-    alignment, timed = align_and_time(noisy, ["hello", "world"])
-    assert [(w.start_s, w.end_s) for w in timed] == [(0.0, 0.5), (1.0, 1.5)]
+    alignment, (_, starts, ends) = align_and_time(_timed(["hello", "world"]), ["hello", "world"])
+    assert list(zip(starts, ends)) == [(0.0, 0.5), (1.0, 1.5)]
 
 
 @given(st.lists(word, min_size=1, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_transfer_timing_preserves_clean_word_count(texts):
-    noisy = _timed(texts)
     clean = texts[::-1]
-    _, timed = align_and_time(noisy, clean)
-    assert [w.text for w in timed] == clean
-    for w in timed:
-        assert w.end_s > w.start_s or (w.end_s == w.start_s)
+    _, (timed_texts, starts, ends) = align_and_time(_timed(texts), clean)
+    assert timed_texts == clean
+    for start_s, end_s in zip(starts, ends):
+        assert end_s > start_s or (end_s == start_s)
 
 
 def test_cost_is_symmetric_in_word_lists():

@@ -37,6 +37,7 @@ def test_matrix_from_json(tmp_path):
         (load_int_vector, "v.npy", b"\x80\x04K\x01.", "not a .npy file"),  # a pickle
         (load_order_head, "h.npz", b"not an archive", "not a .npz archive"),
         (load_order_head, "h.npz", b"PK\x03\x04" + bytes(20), "not a .npz archive"),  # cut short
+        (load_matrix, "m.npz", b"PK\x03\x04\xff", "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
     ],
 )
 def test_a_file_that_is_not_a_numpy_file_is_named(tmp_path, load, name, content, message):
@@ -96,6 +97,7 @@ def test_int_vector_json_is_strict(tmp_path, text, message):
         ('[0.5, Infinity]', "[1] must be a finite number, got inf"),
         ('[[0.5, 1.0], 2.0]', "[1] must be a list, got 2.0"),
         ('{"a": 1}', " must be a list"),
+        ("[1,", ": Expecting value: line 1 column 4 (char 3)"),
     ],
 )
 def test_matrix_json_is_strict(tmp_path, text, message):

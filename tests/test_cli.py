@@ -452,6 +452,36 @@ def test_an_output_that_is_the_input_file_is_fatal(capsys, tmp_path, data_dir, a
     assert out.read_bytes() == b"earlier output\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "--output", "{same}"],
+        ["run", "--output", "{same}"],
+        ["run", "--output", "{out}", "--manifest", "{same}"],
+    ],
+)
+def test_an_output_that_is_the_file_stdin_reads_is_fatal(tmp_path, data_dir, argv):
+    # ``vidtext filter --output a.jsonl < a.jsonl``: the first write would
+    # truncate the file before stdin had read it.
+    import vidtext
+
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    text = b"".join((data_dir / "golden_input.jsonl").read_bytes().splitlines(keepends=True)[:3])
+    src.write_bytes(text)
+    out.write_bytes(b"earlier output\n")
+    argv = [arg.format(same=src, out=out) for arg in argv]
+    flag = argv[argv.index(str(src)) - 1]
+    env = {**os.environ, "PYTHONPATH": str(Path(vidtext.__file__).parents[1])}
+    with open(src, "rb") as stdin:
+        done = subprocess.run(
+            [sys.executable, "-m", "vidtext.cli", *argv],
+            stdin=stdin, capture_output=True, text=True, env=env, timeout=120,
+        )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {flag} {src} is the file stdin reads\n")
+    assert src.read_bytes() == text
+    assert out.read_bytes() == b"earlier output\n"
+
+
 def test_shape_defaults(capsys):
     code, out, _ = run_cli(capsys, ["shape"])
     assert code == 0

@@ -82,3 +82,32 @@ def test_segment_then_pack_of_accepted_lines_reproduces_the_golden_run(tmp_path,
     argv = ["pack", "--input", str(segmented), "--output", str(packed), "--stats", str(stats)]
     assert main(argv) == 0
     assert packed.read_bytes() == (data_dir / "golden_output.jsonl").read_bytes()
+
+
+# The notes ``align`` prints for the faulty lines of the golden align input.
+GOLDEN_ALIGN_NOTES = [
+    "line 4: skipped (ValueError: noisy[0]: start_s must be a finite number >= 0, got True)",
+    "line 5: skipped (ValueError: noisy[1]: start_s must be a finite number >= 0, got -0.5)",
+    "line 6: skipped (ValueError: noisy[1]: end_s is missing)",
+    "line 7: skipped (ValueError: noisy[1]: word 'b': end 1.5 before start 2.0)",
+    "line 8: skipped (ValueError: noisy[1]: text must be a string, got 7)",
+    "line 9: skipped (ValueError: noisy[1]: start_s must be a finite number >= 0, got '1.0')",
+    "line 10: skipped (ValueError: noisy[1]: start_s must be a finite number >= 0, got 1e+308)",
+    "line 11: skipped (JSONDecodeError: Expecting ',' delimiter: line 1 column 72 (char 71))",
+    "line 12: skipped (ValueError: noisy[1] must be an object, got ['b', 1.0, 2.0])",
+    "line 13: skipped (ValueError: noisy must be a list, got {'text': 'a'})",
+    "line 14: skipped (ValueError: noisy is missing)",
+    "line 15: skipped (ValueError: dtw_align requires two non-empty word lists)",
+    "line 16: skipped (ValueError: dtw_align requires two non-empty word lists)",
+    "line 17: skipped (ValueError: clean[1] must be a string, got 2)",
+    "line 18: skipped (ValueError: noisy[1]: start_s must be a finite number >= 0, got True)",
+]
+
+
+def test_golden_align_reproduces_committed_bytes(capsys, tmp_path, data_dir):
+    """Timings averaged over several noisy words, rounded to the millisecond,
+    and the first fault of each bad line, byte for byte."""
+    out_path = tmp_path / "out.jsonl"
+    code = main(["align", "--input", str(data_dir / "golden_align_input.jsonl"), "--output", str(out_path)])
+    assert (code, capsys.readouterr().err) == (1, "".join(note + "\n" for note in GOLDEN_ALIGN_NOTES))
+    assert out_path.read_bytes() == (data_dir / "golden_align_output.jsonl").read_bytes()

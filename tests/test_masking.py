@@ -11,6 +11,7 @@ from vidtext.masking import (
     ACTION_RANDOM,
     LABEL_SENTINEL,
     AttentionProfile,
+    allowed_ids,
     apply_plan,
     attended_set,
     round_half_up,
@@ -187,3 +188,15 @@ def test_profile_validates_specials_in_range():
         AttentionProfile(weights=np.ones(4), special_positions=frozenset({4}))
     with pytest.raises(ValueError):
         AttentionProfile(weights=-np.ones(4), special_positions=frozenset())
+
+
+@given(
+    st.integers(1, 300),
+    st.lists(st.one_of(st.integers(-50, 400), st.integers()), max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_allowed_ids_are_the_vocabulary_minus_the_banned_ids(vocab_size, banned):
+    # Banned ids outside the vocabulary are ignored.
+    got = allowed_ids(vocab_size, banned)
+    assert got.dtype == np.int64
+    assert got.tolist() == [i for i in range(vocab_size) if i not in set(banned)]

@@ -15,6 +15,7 @@ from vidtext.model import (
     PackedExample,
     Segment,
     TimedToken,
+    TimedWord,
     list_field,
     metadata_from_json,
     word_from_json,
@@ -303,25 +304,33 @@ def test_run_writes_what_the_object_api_writes(
     assert err.getvalue() == want_err
 
 
-@pytest.mark.parametrize("command", ["run", "pack"])
+@pytest.mark.parametrize("command", ["run", "pack", "align"])
 def test_run_builds_no_token_objects(monkeypatch, data_dir, tmp_path, command):
     golden = data_dir / "golden_input.jsonl"
     expected = (data_dir / "golden_output.jsonl").read_text()
     if command == "pack":  # ``segment`` output, packed before and after objects are refused
-        segmented, packed = tmp_path / "segmented.jsonl", tmp_path / "packed.jsonl"
+        segmented, out_path = tmp_path / "segmented.jsonl", tmp_path / "packed.jsonl"
         assert main(["segment", "--input", str(golden), "--output", str(segmented)]) == 0
-        argv = ["pack", "--input", str(segmented), "--output", str(packed), "--stats", str(tmp_path / "s")]
+        argv = ["pack", "--input", str(segmented), "--output", str(out_path), "--stats", str(tmp_path / "s")]
+    if command == "align":  # each golden transcript aligned to every other one of its words
+        records = [json.loads(line) for line in golden.read_text().splitlines()]
+        pairs = [{"noisy": r["words"], "clean": [w["text"] for w in r["words"][::2]]} for r in records if r.get("words")]
+        (tmp_path / "pairs.jsonl").write_text("".join(json.dumps(pair) + "\n" for pair in pairs))
+        out_path = tmp_path / "aligned.jsonl"
+        argv = ["align", "--input", str(tmp_path / "pairs.jsonl"), "--output", str(out_path)]
+    if command != "run":
         assert main(argv) == 0
-        expected = packed.read_text()
+        expected = out_path.read_text()
 
     def refuse(self):
         raise AssertionError(f"{type(self).__name__} built on the {command} path")
 
+    monkeypatch.setattr(TimedWord, "__post_init__", refuse)
     monkeypatch.setattr(TimedToken, "__post_init__", refuse)
     monkeypatch.setattr(Segment, "__post_init__", refuse)
-    if command == "pack":
+    if command != "run":
         assert main(argv) == 0
-        out = packed.read_text()
+        out = out_path.read_text()
     else:
         _, out = run_to_strings(PipelineConfig(), golden.read_text())
     assert out == expected

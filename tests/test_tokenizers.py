@@ -70,6 +70,7 @@ def test_load_tokenizer_missing_files(tmp_path):
         ('{"a": "x"}', "", "vocab", "id of 'a' must be a non-negative integer, got 'x'"),
         ('{"a": true}', "", "vocab", "id of 'a' must be a non-negative integer, got True"),
         ('["a"]', "", "vocab", "vocabulary must be an object of token ids, got ['a']"),
+        ("{}", "", "vocab", "vocabulary holds no token"),
         ('{"a": 0}', "#version: 1\na b c\n", "merges", "line 2: expected 2 tokens, got 'a b c'"),
     ],
 )
