@@ -11,8 +11,6 @@ model instead takes embeddings, logits, or log-probabilities as input.
 __version__ = "0.1.0"
 
 import importlib
-import sys
-from types import ModuleType
 from typing import Any
 
 # Each public name by the submodule that defines it.  A submodule is imported
@@ -38,10 +36,7 @@ _SUBMODULES = {
         "ACTION_KEEP", "ACTION_MASK", "ACTION_RANDOM", "LABEL_SENTINEL", "AttentionProfile",
         "MaskPlan", "apply_plan", "attended_set", "round_half_up", "select_targets",
     ),
-    "model": (
-        "SCHEMA_VERSION", "PackedExample", "Segment", "TimedToken", "TimedWord", "VideoRecord",
-        "validate_record",
-    ),
+    "model": ("SCHEMA_VERSION", "PackedExample", "VideoRecord", "validate_record"),
     "ordering": (
         "CLASS_AFTER", "CLASS_BEFORE", "CLASS_DIFFERENT", "CLASS_SAME", "PairwiseRelationTable",
         "StoryEvalReport", "best_frame_ordering", "best_ordering", "evaluate_story_set",
@@ -53,7 +48,7 @@ _SUBMODULES = {
         "PackStats", "SequenceShape", "group_for_joint", "pack_examples", "segment_transcript",
         "sequence_shape",
     ),
-    "selfcheck": ("CheckResult", "selfcheck"),
+    "selfcheck": ("CheckResult",),
     "tokenizers": ("ByteBpeTokenizer", "ByteTokenizer", "load_tokenizer", "tokenize_words"),
 }
 _HOME = {name: module for module, names in _SUBMODULES.items() for name in names}
@@ -72,13 +67,3 @@ def __getattr__(name: str) -> Any:
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-class _Package(ModuleType):
-    def __setattr__(self, name: str, value: Any) -> None:
-        # Importing a submodule binds it on its package under its own name;
-        # a public name of the same spelling, the function ``selfcheck``, wins.
-        if not (isinstance(value, ModuleType) and name in _HOME):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

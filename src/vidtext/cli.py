@@ -150,10 +150,21 @@ class _Output:
             self._fp.close()
 
 
+def _file_key(path: str) -> Any:
+    """What tells the regular file at ``path`` apart, or at a path where none
+    is yet, the file it would create; None for a device, a pipe or a directory."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def _open_streams(args, stack: ExitStack) -> tuple[IO, IO[str]]:
     """Input as bytes, so a line that is not UTF-8 is a data error of its own.
-    An output flag that names the regular file the input is read from, by
-    ``--input`` or a redirected stdin, is fatal before any line is read."""
+    Two of the input file, by ``--input`` or a redirected stdin, and the output
+    flags that name one regular file, existing or not, are fatal before any
+    line is read: a write to one would replace or truncate the other."""
     fin = getattr(sys.stdin, "buffer", sys.stdin)  # a replaced stdin may be text
     if args.input:
         fin = stack.enter_context(open(args.input, "rb"))
@@ -161,12 +172,16 @@ def _open_streams(args, stack: ExitStack) -> tuple[IO, IO[str]]:
         source = os.fstat(fin.fileno())
     except OSError:  # a replaced stdin may have no file descriptor
         source = None
+    named = {}  # file key -> what names the file
     if source is not None and stat.S_ISREG(source.st_mode):
-        for flag in ("output", "frame_manifest", "manifest", "stats"):
-            path = getattr(args, flag, None)
-            if path and os.path.exists(path) and os.path.samestat(source, os.stat(path)):
-                what = "the --input file" if args.input else "the file stdin reads"
-                raise ValueError(f"--{flag.replace('_', '-')} {path} is {what}")
+        named[source.st_dev, source.st_ino] = "the --input file" if args.input else "the file stdin reads"
+    for name in ("output", "frame_manifest", "manifest", "stats"):
+        path, flag = getattr(args, name, None), "--" + name.replace("_", "-")
+        key = _file_key(path) if path else None
+        if key in named:
+            raise ValueError(f"{flag} {path} is {named[key]}")
+        if key is not None:
+            named[key] = f"the {flag} file"
     fout = stack.push(_Output(args.output)) if args.output else sys.stdout
     return fin, fout
 
@@ -266,7 +281,7 @@ def _cmd_pack(args) -> int:
     cfg = _config_from_args(args)
 
     def write(fout: IO[str], records: Iterator[Any]) -> None:
-        _write_report(args.stats, write_examples(records, cfg, fout))
+        _write_report(args.stats, vars(write_examples(records, cfg, fout)))
 
     return _stream(args, record_from_json, write)
 

@@ -1,9 +1,11 @@
 """Domain types for timed transcripts and their serialized form.
 
-Everything here is an immutable value.  Timestamps are kept at millisecond
-precision: constructors and the column decoder round to 1 ms, and their checks
-and ``check_segments``, the one check of a record's segment invariants,
-compare those rounded values, so serialization round-trips are exact.
+A video record and a packed example are immutable values.  Words, tokens
+and segments have no object type: words and tokens are columns, one list
+per field (``WORD_COLUMNS``, ``TOKEN_COLUMNS``), and a segment is its JSON.
+Timestamps are kept at millisecond precision: the decoders round to 1 ms,
+and their checks and ``check_segments``, the one check of a record's segment
+invariants, compare those rounded values, so serialization round-trips are exact.
 
 The line format (one JSON object per line, ``schema_version`` "1" first) is
 each record's fields in declaration order:
@@ -15,15 +17,15 @@ each record's fields in declaration order:
 * packed example: ``segments`` plus ``provenance`` as
   ``[[video_id, original_segment_index], ...]``
 
-Words and tokens are decoded as columns, one list per field (``columns_field``).
-A segment is written by one writer, ``segment_json``, from the token runs of
-its words (``token_runs_json``): a word's tokens share its index and span, so
-that tail is formatted once per word.  On the write paths (``segment``, ``pack``
-and ``run``) a record's or an example's ``segments`` hold that JSON, never
-``Segment`` objects: ``pack`` reads a record by ``record_from_json``, and the
-``run`` parent joins its workers' segment JSON into example lines
-(``example_to_json``).  ``validate_record`` checks a record of ``Segment``
-objects; ``dump_line`` writes every other record, a ``Segment`` too.
+Words and tokens are decoded by ``columns_field``; a list with a fault is
+decoded one object at a time (``word_from_json``, ``token_from_json``), which
+names its first fault.  A segment is written by one writer, ``segment_json``,
+from the token runs of its words (``token_runs_json``): a word's tokens share
+its index and span, so that tail is formatted once per word.  A record's or
+an example's ``segments`` hold that JSON: ``pack`` reads a record by
+``record_from_json``, ``validate_record`` checks one, and the ``run`` parent
+joins its workers' segment JSON into example lines (``example_to_json``).
+``dump_line`` writes every other line.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 SCHEMA_VERSION = "1"
 
 VARIANT_CLEAN = "clean"
-VARIANT_NOISY = "noisy"
-_VARIANTS = (VARIANT_CLEAN, VARIANT_NOISY)
+_VARIANTS = (VARIANT_CLEAN, "noisy")
 
 
 def round_ms(seconds: float) -> float:
@@ -52,83 +53,12 @@ def round_ms(seconds: float) -> float:
 
 
 @dataclass(frozen=True)
-class TimedWord:
-    text: str
-    start_s: float  # seconds, ms precision
-    end_s: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start_s", round_ms(self.start_s))
-        object.__setattr__(self, "end_s", round_ms(self.end_s))
-        if self.end_s < self.start_s:
-            raise ValueError(
-                f"word {self.text!r}: end {self.end_s} before start {self.start_s}"
-            )
-
-
-@dataclass(frozen=True)
-class TimedToken:
-    id: int  # tokenizer vocabulary id
-    word_index: int  # index of the source word in its transcript
-    start_s: float  # inherited from the source word
-    end_s: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start_s", round_ms(self.start_s))
-        object.__setattr__(self, "end_s", round_ms(self.end_s))
-        if self.id < 0:
-            raise ValueError(f"token id must be non-negative, got {self.id}")
-        if self.word_index < 0:
-            raise ValueError(f"word_index must be non-negative, got {self.word_index}")
-        if self.end_s < self.start_s:
-            raise ValueError(
-                f"token {self.id}: end {self.end_s} before start {self.start_s}"
-            )
-
-
-def _check_segment(n_tokens: int, variant: str) -> None:
-    if not n_tokens:
-        raise ValueError("segment must contain at least one token")
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A bounded run of tokens with the frame sample time for that span."""
-
-    tokens: tuple[TimedToken, ...]
-    frame_time_s: float
-    variant: str = VARIANT_CLEAN
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "frame_time_s", round_ms(self.frame_time_s))
-        _check_segment(len(self.tokens), self.variant)
-
-    @property
-    def start_s(self) -> float:
-        return self.tokens[0].start_s
-
-    @property
-    def end_s(self) -> float:
-        return self.tokens[-1].end_s
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[TimedToken], variant: str = VARIANT_CLEAN) -> "Segment":
-        """Build a segment whose frame time is the midpoint of its span."""
-        toks = tuple(tokens)
-        _check_segment(len(toks), variant)
-        return cls(toks, (toks[0].start_s + toks[-1].end_s) / 2.0, variant)
-
-
-@dataclass(frozen=True)
 class VideoRecord:
     video_id: str
     duration_s: float
     category: str
     has_english_asr: bool
-    segments: tuple[Segment, ...] = ()  # or their segment JSON, on the write paths
+    segments: tuple[str, ...] = ()  # segment JSON
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -139,7 +69,7 @@ class VideoRecord:
 class PackedExample:
     """Exactly ``segments_per_example`` segments, possibly from several videos."""
 
-    segments: tuple[Segment, ...]  # or their segment JSON, on the write paths
+    segments: tuple[str, ...]  # segment JSON
     provenance: tuple[tuple[str, int], ...]  # (video_id, original segment index)
 
     def __post_init__(self) -> None:
@@ -201,14 +131,6 @@ def check_segments(segments: Iterable[tuple[list[list], float, str]]) -> None:
                 f"segment starts at {starts[0]} before the previous one ends at {seg_end}",
             )
         seg_end = ends[-1]
-
-
-def validate_record(record: VideoRecord) -> None:
-    """``check_segments`` over a record of ``Segment`` objects."""
-    check_segments(
-        ([[getattr(t, name) for t in seg.tokens] for name in TOKEN_COLUMNS], seg.frame_time_s, seg.variant)
-        for seg in record.segments
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +213,30 @@ def list_field(obj: dict[str, Any], key: str, decode: Callable) -> list:
     return out
 
 
-def token_from_json(obj: dict[str, Any]) -> TimedToken:
-    return TimedToken(
-        id=typed_field(obj, "id", int),
-        word_index=typed_field(obj, "word_index", int),
-        start_s=_seconds_field(obj, "start_s"),
-        end_s=_seconds_field(obj, "end_s"),
-    )
+def _span(obj: dict[str, Any]) -> tuple[float, float]:
+    return round_ms(_seconds_field(obj, "start_s")), round_ms(_seconds_field(obj, "end_s"))
 
 
-def word_from_json(obj: dict[str, Any]) -> TimedWord:
-    return TimedWord(
-        text=typed_field(obj, "text", str),
-        start_s=_seconds_field(obj, "start_s"),
-        end_s=_seconds_field(obj, "end_s"),
-    )
+def token_from_json(obj: dict[str, Any]) -> tuple[int, int, float, float]:
+    """One token's ``TOKEN_COLUMNS`` values, checked one field at a time."""
+    tid, word_index = typed_field(obj, "id", int), typed_field(obj, "word_index", int)
+    start_s, end_s = _span(obj)
+    if tid < 0:
+        raise ValueError(f"token id must be non-negative, got {tid}")
+    if word_index < 0:
+        raise ValueError(f"word_index must be non-negative, got {word_index}")
+    if end_s < start_s:
+        raise ValueError(f"token {tid}: end {end_s} before start {start_s}")
+    return tid, word_index, start_s, end_s
+
+
+def word_from_json(obj: dict[str, Any]) -> tuple[str, float, float]:
+    """One word's ``WORD_COLUMNS`` values, checked one field at a time."""
+    text = typed_field(obj, "text", str)
+    start_s, end_s = _span(obj)
+    if end_s < start_s:
+        raise ValueError(f"word {text!r}: end {end_s} before start {start_s}")
+    return text, start_s, end_s
 
 
 WORD_COLUMNS = {"text": str, "start_s": float, "end_s": float}
@@ -346,8 +277,7 @@ def columns_field(obj: dict[str, Any], key: str, kinds: dict[str, type], decode:
             named = dict(zip(kinds, columns))
             if None not in columns and True not in map(lt, named["end_s"], named["start_s"]):
                 return columns
-    decoded = list_field(obj, key, decode)
-    return [[getattr(item, name) for item in decoded] for name in kinds]
+    return list(map(list, zip(*list_field(obj, key, decode))))
 
 
 def token_runs_json(
@@ -395,23 +325,32 @@ def metadata_from_json(obj: dict[str, Any]) -> VideoRecord:
 
 
 def _segment_columns(obj: dict[str, Any]) -> tuple[list[list], float, str]:
-    """A segment's ``TOKEN_COLUMNS``, frame time and variant, checked as ``Segment`` checks them."""
+    """A segment's ``TOKEN_COLUMNS``, frame time and variant: at least one
+    token, and a variant of ``_VARIANTS``."""
     tokens = columns_field(obj, "tokens", TOKEN_COLUMNS, token_from_json)
     frame_time_s = round_ms(_seconds_field(obj, "frame_time_s"))
     variant = typed_field(obj, "variant", str)
-    _check_segment(len(tokens[0]), variant)
+    if not tokens[0]:
+        raise ValueError("segment must contain at least one token")
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     return tokens, frame_time_s, variant
+
+
+def tokens_by_word(tokens: list[list]) -> tuple[list, ...]:
+    """``TOKEN_COLUMNS`` columns as word columns: per run of tokens of one
+    ``word_index``, its token ids, and the index and span of its first token."""
+    ids, word_index, starts, ends = tokens
+    heads = list(compress(range(len(ids)), map(ne, word_index, [-1, *word_index])))
+    return (
+        [ids[lo:hi] for lo, hi in zip(heads, [*heads[1:], len(ids)])],
+        *([column[k] for k in heads] for column in (word_index, starts, ends)),
+    )
 
 
 def _column_segment_json(tokens: list[list], frame_time_s: float, variant: str) -> str:
     """``segment_json`` of checked segment columns, one token run per word."""
-    ids, word_index, starts, ends = tokens
-    heads = [0, *compress(range(1, len(ids)), map(ne, word_index[1:], word_index))]
-    runs = token_runs_json(
-        [ids[lo:hi] for lo, hi in zip(heads, [*heads[1:], len(ids)])],
-        *([column[k] for k in heads] for column in (word_index, starts, ends)),
-    )
-    return segment_json(runs, frame_time_s, variant)
+    return segment_json(token_runs_json(*tokens_by_word(tokens)), frame_time_s, variant)
 
 
 def record_from_json(obj: dict[str, Any]) -> VideoRecord:
@@ -425,6 +364,13 @@ def record_from_json(obj: dict[str, Any]) -> VideoRecord:
     return dataclasses.replace(meta, segments=tuple(_column_segment_json(*seg) for seg in segments))
 
 
+def validate_record(record: VideoRecord) -> None:
+    """``check_segments`` over a record of segment JSON, each segment decoded
+    as ``record_from_json`` decodes it; a field fault raises as it does there."""
+    segments = {"segments": list(map(json.loads, record.segments))}
+    check_segments(list_field(segments, "segments", _segment_columns))
+
+
 def example_to_json(example: PackedExample) -> str:
     """The line of a packed example whose segments are segment JSON."""
     segments = ",".join(example.segments)
@@ -432,20 +378,10 @@ def example_to_json(example: PackedExample) -> str:
     return f'{{"schema_version":"{SCHEMA_VERSION}","segments":[{segments}],"provenance":{provenance}}}'
 
 
-def _fields(obj: Any) -> dict[str, Any]:
-    """A record's fields, in the declaration order its constructor sets them in."""
-    if hasattr(type(obj), "__dataclass_fields__"):
-        return vars(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def dump_line(obj: Any) -> str:
-    """Canonical one-line JSON used everywhere a file must be reproducible: a record
-    (a dataclass instance) as its fields, a tuple as a list.  Records are frozen
-    trees, so the cycle check is off."""
-    return json.dumps(
-        obj, ensure_ascii=False, separators=(",", ":"), default=_fields, check_circular=False
-    )
+    """Canonical one-line JSON used everywhere a file must be reproducible, a
+    tuple written as a list.  Lines are trees, so the cycle check is off."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), check_circular=False)
 
 
 def write_jsonl(fp: IO[str], objs: Iterable[Any]) -> None:

@@ -4,10 +4,11 @@ Segments are filled greedily left to right, never splitting a word's tokens
 across a boundary: when the next word's tokens would push the buffer past
 the limit, the buffer is flushed and the word opens a new segment.  Each
 segment's frame is sampled at the midpoint of its time span.  That rule is
-``segment_bounds``, over words as columns; ``segment_words`` applies it to
-decoded words and writes each segment as its JSON (the ``segment`` and
-``run`` path), and ``segment_transcript`` applies it to ``TimedToken``
-objects (the library).
+``segment_bounds``, over words as columns.  A segment is its JSON
+(``model.segment_json``).  ``segment_words`` cuts decoded word columns (the
+``segment`` and ``run`` path), and ``segment_transcript`` cuts token columns
+(the library view of ``tokenize_words``' output); both write segments and
+time frames by one helper, ``_cut``.
 
 ``pack_examples`` concatenates segment streams across videos and emits
 fixed-size blocks; the trailing remainder is dropped, never padded.
@@ -15,20 +16,18 @@ fixed-size blocks; the trailing remainder is dropped, never padded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from operator import attrgetter, lt
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .config import PipelineConfig
 from .model import (
     PackedExample,
-    Segment,
-    TimedToken,
     VideoRecord,
     round_ms,
     segment_json,
     token_runs_json,
+    tokens_by_word,
 )
 from .tokenizers import Tokenizer, encode_words
 
@@ -103,13 +102,24 @@ def segment_bounds(
     return bounds
 
 
+def _cut(
+    ids: list[list[int]], index: Sequence[int], starts: Sequence[float], ends: Sequence[float], l_max: int
+) -> tuple[list[str], list[float]]:
+    """Words that make tokens, as columns (each word's token ids, index and
+    span), cut by ``segment_bounds``: each segment as its JSON, and its frame
+    time, the midpoint of its span rounded once."""
+    bounds = segment_bounds(index, list(map(len, ids)), starts, ends, l_max)
+    runs = token_runs_json(ids, index, starts, ends)
+    frames = [round_ms((starts[lo] + ends[hi - 1]) / 2.0) for lo, hi in bounds]
+    return [segment_json(runs[lo:hi], t) for (lo, hi), t in zip(bounds, frames)], frames
+
+
 def segment_words(words: list[list], tokenizer: Tokenizer, l_max: int = 32) -> tuple[list[str], list[float]]:
     """Tokenize decoded words (``model.columns_field``) and cut them by
     ``segment_bounds``: each segment as its JSON, and its frame time.
 
-    This is ``segment_transcript`` over ``tokenize_words`` written out, but
-    no token object is built: each word is encoded once and its tokens are
-    written as one run (``token_runs_json``).
+    This is ``segment_transcript`` over ``tokenize_words``, but each word is
+    encoded once and its tokens are written as one run (``token_runs_json``).
     """
     texts, starts, ends = words
     ids = encode_words(texts, tokenizer)
@@ -119,28 +129,14 @@ def segment_words(words: list[list], tokenizer: Tokenizer, l_max: int = 32) -> t
         ids = [ids[k] for k in index]
         starts = [starts[k] for k in index]
         ends = [ends[k] for k in index]
-    bounds = segment_bounds(index, list(map(len, ids)), starts, ends, l_max)
-    runs = token_runs_json(ids, index, starts, ends)
-    # The span midpoint, rounded once, as Segment.from_tokens takes it.
-    frames = [round_ms((starts[lo] + ends[hi - 1]) / 2.0) for lo, hi in bounds]
-    segments = [segment_json(runs[lo:hi], t) for (lo, hi), t in zip(bounds, frames)]
-    return segments, frames
+    return _cut(ids, index, starts, ends, l_max)
 
 
-def segment_transcript(tokens: Sequence[TimedToken], l_max: int = 32) -> list[Segment]:
-    """Split a timed token stream into segments of at most ``l_max`` tokens,
-    by ``segment_bounds`` over the stream's words."""
-    words = [list(g) for _, g in itertools.groupby(tokens, key=attrgetter("word_index"))]
-    bounds = segment_bounds(
-        [word[0].word_index for word in words],
-        [len(word) for word in words],
-        [word[0].start_s for word in words],
-        [word[-1].end_s for word in words],
-        l_max,
-    )
-    return [
-        Segment.from_tokens(itertools.chain.from_iterable(words[lo:hi])) for lo, hi in bounds
-    ]
+def segment_transcript(tokens: list[list], l_max: int = 32) -> list[str]:
+    """Split a token stream, as ``TOKEN_COLUMNS`` columns whose tokens of one
+    word are adjacent and share its index and span (``tokenize_words``), into
+    segments of at most ``l_max`` tokens, each as its JSON."""
+    return _cut(*tokens_by_word(tokens), l_max)[0]
 
 
 @dataclass
@@ -165,7 +161,7 @@ def pack_examples(
     if n_segments < 1:
         raise ValueError(f"n_segments must be at least 1, got {n_segments}")
     stats = stats if stats is not None else PackStats()
-    buf: list[Segment] = []
+    buf: list[str] = []
     provenance: list[tuple[str, int]] = []
     for record in stream:
         for idx, seg in enumerate(record.segments):
@@ -184,7 +180,7 @@ def pack_examples(
     stats.segments_dropped += len(buf)
 
 
-def group_for_joint(example: PackedExample, group: int = 4) -> list[tuple[Segment, ...]]:
+def group_for_joint(example: PackedExample, group: int = 4) -> list[tuple[str, ...]]:
     """Partition an example into consecutive groups of ``group`` segments."""
     n = len(example.segments)
     if group < 1:

@@ -6,17 +6,17 @@ self-contained.  ``ByteBpeTokenizer`` loads a byte-level BPE vocabulary from
 the usual ``vocab.json`` + ``merges.txt`` pair; those files are user-supplied
 and are not bundled.
 
-Every token produced from a word inherits that word's full time span.
+Timed words and tokens are columns, one list per field (``model.WORD_COLUMNS``
+and ``model.TOKEN_COLUMNS``); ``tokenize_words`` maps the one to the other,
+and every token produced from a word inherits that word's full time span.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Protocol, Sequence
-
-from .model import TimedToken, TimedWord
 
 
 class Tokenizer(Protocol):
@@ -185,15 +185,18 @@ def encode_words(texts: Sequence[str], tokenizer: Tokenizer) -> list[list[int]]:
     return ids
 
 
-def tokenize_words(words: Sequence[TimedWord], tokenizer: Tokenizer) -> list[TimedToken]:
-    """Expand each timed word into subword tokens carrying the word's span.
+def tokenize_words(words: Sequence[Sequence], tokenizer: Tokenizer) -> list[list]:
+    """Expand timed words, as ``WORD_COLUMNS`` columns (texts, starts, ends),
+    into subword tokens as ``TOKEN_COLUMNS`` columns (ids, word indexes,
+    starts, ends), each token carrying its word's index and span.
 
     Words that encode to zero tokens are skipped; token order follows word
     order, so downstream segment invariants hold by construction.
     """
-    ids = encode_words([word.text for word in words], tokenizer)
+    texts, starts, ends = words
+    ids = encode_words(texts, tokenizer)
+    counts = list(map(len, ids))
     return [
-        TimedToken(id=tid, word_index=wi, start_s=word.start_s, end_s=word.end_s)
-        for wi, (word, word_ids) in enumerate(zip(words, ids))
-        for tid in word_ids
+        list(chain.from_iterable(ids)),
+        *(list(chain.from_iterable(map(repeat, column, counts))) for column in (range(len(ids)), starts, ends)),
     ]

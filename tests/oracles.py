@@ -8,8 +8,9 @@ instead of closed forms, finite differences instead of analytic gradients.
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 if TYPE_CHECKING:
-    from vidtext.model import PackedExample, Segment, VideoRecord
+    from vidtext.model import PackedExample, VideoRecord
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -269,6 +270,39 @@ class Violation:
         return f"{self.field}: {self.message}"
 
 
+@dataclass(frozen=True)
+class TimedToken:
+    """A token as an object: the reference shape of a token in segment JSON."""
+
+    id: int
+    word_index: int
+    start_s: float
+    end_s: float
+
+
+@dataclass(frozen=True)
+class Segment:
+    """A segment as an object: the reference shape of segment JSON."""
+
+    tokens: tuple[TimedToken, ...]
+    frame_time_s: float
+    variant: str = "clean"
+
+    @property
+    def start_s(self) -> float:
+        return self.tokens[0].start_s
+
+    @property
+    def end_s(self) -> float:
+        return self.tokens[-1].end_s
+
+
+def segment_line(seg: Segment) -> str:
+    """The reference writer: a segment as its JSON, every object as its fields
+    in order, as ``json`` writes them."""
+    return json.dumps(asdict(seg), ensure_ascii=False, separators=(",", ":"))
+
+
 def _validate_segment(seg: Segment, where: str, l_max: int) -> list[Violation]:
     out: list[Violation] = []
     if len(seg.tokens) > l_max:
@@ -324,9 +358,9 @@ def _validate_segment(seg: Segment, where: str, l_max: int) -> list[Violation]:
 
 
 def example_violations(example: PackedExample, n_segments: int = 16, l_max: int = 32) -> list[Violation]:
-    """Every broken invariant of a packed example: its segment count, and per
-    segment its token cap, word order, word spans and frame time.  An empty
-    list means the example is clean."""
+    """Every broken invariant of a packed example of segment JSON: its segment
+    count, and per segment, decoded by ``segment_object``, its token cap, word
+    order, word spans and frame time.  An empty list means the example is clean."""
     out: list[Violation] = []
     if len(example.segments) != n_segments:
         out.append(
@@ -337,29 +371,35 @@ def example_violations(example: PackedExample, n_segments: int = 16, l_max: int 
             )
         )
     for idx, seg in enumerate(example.segments):
-        out.extend(_validate_segment(seg, f"segments[{idx}]", l_max))
+        out.extend(_validate_segment(segment_object(json.loads(seg)), f"segments[{idx}]", l_max))
     return out
 
 
 def segment_object(obj: dict) -> Segment:
-    """A segment's JSON as a ``Segment``, decoded field by field through the
-    object API: the reference for the column decoder in ``model.record_from_json``."""
-    from vidtext.model import Segment, _seconds_field, list_field, token_from_json, typed_field
+    """A segment's JSON as a ``Segment``, decoded field by field, one token
+    object at a time: the reference for the column decoder in
+    ``model.record_from_json``."""
+    from vidtext.model import _seconds_field, list_field, round_ms, token_from_json, typed_field
 
-    return Segment(
-        tokens=list_field(obj, "tokens", token_from_json),
-        frame_time_s=_seconds_field(obj, "frame_time_s"),
-        variant=typed_field(obj, "variant", str),
-    )
+    tokens = tuple(TimedToken(*token) for token in list_field(obj, "tokens", token_from_json))
+    seg = Segment(tokens, round_ms(_seconds_field(obj, "frame_time_s")), typed_field(obj, "variant", str))
+    if not tokens:
+        raise ValueError("segment must contain at least one token")
+    if seg.variant not in ("clean", "noisy"):
+        raise ValueError(f"variant must be one of ('clean', 'noisy'), got {seg.variant!r}")
+    return seg
 
 
 def record_objects(obj: dict) -> VideoRecord:
     """A segmented record as a ``VideoRecord`` of ``Segment`` objects, decoded
-    whole and then checked by ``validate_record``."""
-    from vidtext.model import list_field, metadata_from_json, validate_record
+    whole and then checked by ``model.check_segments`` over their fields."""
+    from vidtext.model import TOKEN_COLUMNS, check_segments, list_field, metadata_from_json
 
     record = replace(metadata_from_json(obj), segments=list_field(obj, "segments", segment_object))
-    validate_record(record)
+    check_segments(
+        ([[getattr(t, name) for t in seg.tokens] for name in TOKEN_COLUMNS], seg.frame_time_s, seg.variant)
+        for seg in record.segments
+    )
     return record
 
 

@@ -22,7 +22,7 @@ from vidtext.corruption import (
 )
 from vidtext.losses import contrastive_loss
 from vidtext.masking import AttentionProfile, select_targets
-from vidtext.model import TimedToken, VideoRecord
+from vidtext.model import VideoRecord, round_ms
 from vidtext.ordering import (
     PairwiseRelationTable,
     best_ordering,
@@ -295,24 +295,20 @@ def _random_video(rng: np.random.Generator, video_id: str) -> VideoRecord:
     from vidtext.segmenting import segment_transcript
 
     n_words = int(rng.integers(1, 120))
-    tokens = []
+    tokens = []  # (id, word_index, start_s, end_s)
     t = 0.0
-    tid = 0
     for w in range(n_words):
         n_tok = int(rng.integers(1, 6))
         start, end = t, t + 0.4
         for _ in range(n_tok):
-            tokens.append(
-                TimedToken(id=tid % 1000, word_index=w, start_s=start, end_s=end)
-            )
-            tid += 1
+            tokens.append((len(tokens) % 1000, w, round_ms(start), round_ms(end)))
         t = end + 0.1
     return VideoRecord(
         video_id=video_id,
         duration_s=t + 1.0,
         category="Howto",
         has_english_asr=True,
-        segments=tuple(segment_transcript(tokens, l_max=32)),
+        segments=tuple(segment_transcript([list(column) for column in zip(*tokens)], l_max=32)),
     )
 
 

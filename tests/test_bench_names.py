@@ -1,5 +1,6 @@
 """The benchmark's tracer swaps module-level names of ``vidtext`` for timed
-wrappers; this keeps a simplification from deleting one of them unnoticed.
+wrappers; this keeps a simplification from deleting one of them unnoticed,
+and runs ``run`` once under the tracer, as the benchmark's ``--trace 1`` does.
 """
 
 import importlib.util
@@ -10,12 +11,35 @@ import vidtext.cli
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_name_the_benchmark_traces_exists():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_name_the_benchmark_traces_exists():
+    tracing = _tracing()
     main = vidtext.cli.main
     with tracing.traced(tracing.Recorder(), trace_writes=True):
         assert vidtext.cli.main is not main
     assert vidtext.cli.main is main
     assert "open" not in vars(vidtext.cli)
+
+
+def test_a_traced_run_writes_what_an_untraced_run_writes(tmp_path, data_dir):
+    tracing = _tracing()
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(b"".join((data_dir / "golden_input.jsonl").read_bytes().splitlines(keepends=True)[:3]))
+
+    def run(tag):
+        out, manifest = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.manifest.json"
+        argv = ["run", "--input", str(src), "--output", str(out), "--manifest", str(manifest)]
+        assert vidtext.cli.main(argv) == 0
+        return out.read_bytes(), manifest.read_bytes()
+
+    recorder = tracing.Recorder()
+    with tracing.traced(recorder, trace_writes=True):
+        traced = run("traced")
+    assert traced[0] and traced == run("untraced")
+    assert recorder.spans["cli"] and recorder.spans["pipeline.write"]

@@ -452,6 +452,34 @@ def test_an_output_that_is_the_input_file_is_fatal(capsys, tmp_path, data_dir, a
     assert out.read_bytes() == b"earlier output\n"
 
 
+@pytest.mark.parametrize("exists", [True, False])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--output", "{out}", "--manifest", "{same}"],
+        ["pack", "--output", "{out}", "--stats", "{same}"],
+        ["segment", "--output", "{out}", "--frame-manifest", "{same}"],
+    ],
+)
+def test_two_outputs_that_name_one_file_are_fatal(capsys, tmp_path, data_dir, argv, exists):
+    # The later write would replace the earlier one, or interleave with it.
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_bytes((data_dir / "golden_input.jsonl").read_bytes())
+    if exists:
+        out.write_bytes(b"earlier output\n")
+    same = tmp_path / "sub" / ".." / "out.jsonl"  # another name of the first output
+    (tmp_path / "sub").mkdir()
+    argv = [arg.format(same=same, out=out) for arg in argv] + ["--input", str(src)]
+    flag, first = argv[argv.index(str(same)) - 1], argv[argv.index(str(out)) - 1]
+    assert run_cli(capsys, argv) == (2, "", f"error: {flag} {same} is the {first} file\n")
+    assert out.read_bytes() == b"earlier output\n" if exists else not out.exists()
+
+
+def test_outputs_that_are_not_regular_files_may_coincide(capsys, tmp_path, data_dir):
+    argv = ["run", "--input", str(data_dir / "golden_input.jsonl"), "--output", os.devnull, "--manifest", os.devnull]
+    assert run_cli(capsys, argv) == (0, "", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1171,9 +1199,9 @@ def _fuzz(rng, rec):
 
 def test_pack_decodes_as_the_object_api(capsys, monkeypatch, tmp_path, data_dir):
     """``pack`` on fuzzed ``segment`` records exits, writes, reports and counts
-    as it does with each record decoded into ``Segment`` objects, checked by
-    ``validate_record`` and written by ``dump_line``."""
-    from oracles import record_objects
+    as it does with each record decoded into reference ``Segment`` objects,
+    checked by ``check_segments`` and written by the reference writer."""
+    from oracles import record_objects, segment_line
     from vidtext import cli
 
     segmented = tmp_path / "segmented.jsonl"
@@ -1194,7 +1222,7 @@ def test_pack_decodes_as_the_object_api(capsys, monkeypatch, tmp_path, data_dir)
 
     def reference(obj):
         record = record_objects(obj)
-        return dataclasses.replace(record, segments=tuple(map(dump_line, record.segments)))
+        return dataclasses.replace(record, segments=tuple(map(segment_line, record.segments)))
 
     got = pack()
     monkeypatch.setattr(cli, "record_from_json", reference)

@@ -9,14 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import example_violations, record_objects
+from oracles import Segment, TimedToken, example_violations, record_objects, segment_line
 from vidtext.model import (
     TOKEN_COLUMNS,
     WORD_COLUMNS,
     PackedExample,
-    Segment,
-    TimedToken,
-    TimedWord,
     VideoRecord,
     columns_field,
     dump_line,
@@ -28,33 +25,27 @@ from vidtext.model import (
     validate_record,
     word_from_json,
 )
+from vidtext.segmenting import PackStats, segment_transcript
 
 
-def make_segment(n_tokens=4, word_tokens=2, t0=0.0, variant="clean"):
-    tokens = []
-    t = t0
-    for k in range(n_tokens):
-        word = k // word_tokens
-        start = t0 + word * 1.0
-        tokens.append(
-            TimedToken(id=100 + k, word_index=word, start_s=start, end_s=start + 0.8)
-        )
-    return Segment.from_tokens(tokens, variant=variant)
-
-
-def written(record):
-    """``record`` with its segments as segment JSON, as the line writers take it:
-    each segment written as its fields."""
-    return dataclasses.replace(record, segments=tuple(map(dump_line, record.segments)))
+def make_segment(n_tokens=4, word_tokens=2, t0=0.0):
+    """One segment's JSON, written by ``segment_transcript`` from token columns."""
+    words = [k // word_tokens for k in range(n_tokens)]
+    starts = [t0 + word * 1.0 for word in words]
+    (seg,) = segment_transcript(
+        [[100 + k for k in range(n_tokens)], words, starts, [t + 0.8 for t in starts]], l_max=n_tokens
+    )
+    return seg
 
 
 def assert_round_trip(record):
-    """The line of ``record`` decodes to its objects and to its segment JSON,
-    and is written back byte for byte."""
-    line = record_to_json(written(record))
-    assert record_objects(json.loads(line)) == record
+    """The line of ``record``, a record of segment JSON, decodes to its segment
+    JSON and is written back byte for byte; the reference decoder and writer
+    agree with both."""
+    line = record_to_json(record)
+    assert tuple(map(segment_line, record_objects(json.loads(line)).segments)) == record.segments
     decoded = record_from_json(json.loads(line))
-    assert decoded == written(record)
+    assert decoded == record
     assert record_to_json(decoded) == line
 
 
@@ -70,13 +61,14 @@ def make_record(video_id="v0", n_segments=3):
 
 
 def test_timed_word_rejects_reversed_span():
-    with pytest.raises(ValueError, match="end"):
-        TimedWord(text="x", start_s=2.0, end_s=1.0)
+    with pytest.raises(ValueError, match="^word 'x': end 1.0 before start 2.0$"):
+        word_from_json({"text": "x", "start_s": 2.0, "end_s": 1.0})
 
 
 def test_segment_frame_time_is_span_midpoint():
-    seg = make_segment()
-    assert seg.frame_time_s == pytest.approx((seg.start_s + seg.end_s) / 2.0)
+    seg = json.loads(make_segment())
+    span = seg["tokens"][0]["start_s"], seg["tokens"][-1]["end_s"]
+    assert seg["frame_time_s"] == pytest.approx(sum(span) / 2.0)
 
 
 def test_round_ms_quantizes_to_milliseconds():
@@ -87,12 +79,12 @@ def test_round_ms_quantizes_to_milliseconds():
 
 
 def test_validate_record_flags_token_order_violation():
-    good = make_segment()
+    seg = json.loads(make_segment())
     # Swap two tokens from different words: word order regresses at token 1,
     # and only that first fault is named.
-    tokens = list(good.tokens)
+    tokens = seg["tokens"]
     tokens[0], tokens[-1] = tokens[-1], tokens[0]
-    bad = Segment(tokens=tuple(tokens), frame_time_s=good.frame_time_s)
+    bad = json.dumps(seg)
     record = VideoRecord(
         video_id="v",
         duration_s=10.0,
@@ -122,7 +114,7 @@ def rough_segments(draw):
     for k, word in enumerate(words):
         start, end = spans[word] if draw(st.integers(0, 3)) else (draw(times), 2.5)
         tokens.append(TimedToken(id=k, word_index=word, start_s=start, end_s=end))
-    return Segment(tuple(tokens), draw(times))
+    return segment_line(Segment(tuple(tokens), draw(times)))
 
 
 @given(rough_segments())
@@ -130,7 +122,7 @@ def rough_segments(draw):
 def test_validate_record_names_the_first_violation_of_the_oracle(seg):
     record = VideoRecord(video_id="v", duration_s=10.0, category="c", has_english_asr=True, segments=(seg,))
     example = PackedExample((seg,), (("v", 0),))
-    violations = example_violations(example, n_segments=1, l_max=len(seg.tokens))
+    violations = example_violations(example, n_segments=1, l_max=len(json.loads(seg)["tokens"]))
     if not violations:
         assert validate_record(record) is None
         return
@@ -145,8 +137,8 @@ def test_record_round_trip_exact():
 
 def test_round_trip_keeps_the_words_of_one_instant_apart():
     # Two words of no length at one instant share a span: each keeps its index.
-    tokens = [TimedToken(id=k, word_index=k // 2, start_s=1.0, end_s=1.0) for k in range(4)]
-    assert_round_trip(dataclasses.replace(make_record(), segments=(Segment.from_tokens(tokens),)))
+    segments = segment_transcript([[0, 1, 2, 3], [0, 0, 1, 1], [1.0] * 4, [1.0] * 4], l_max=4)
+    assert_round_trip(dataclasses.replace(make_record(), segments=segments))
 
 
 def test_dump_line_is_compact_and_preserves_unicode():
@@ -157,9 +149,9 @@ def test_dump_line_is_compact_and_preserves_unicode():
 
 
 def test_dump_line_writes_records_as_their_fields_in_order():
-    token = TimedToken(id=3, word_index=1, start_s=0.5, end_s=0.75)
-    line = '{"t":[{"id":3,"word_index":1,"start_s":0.5,"end_s":0.75}]}'
-    assert dump_line({"t": (token,)}) == line
+    # ``pack --stats`` writes its record as its fields.
+    line = '{"segments_in":5,"examples_out":1,"segments_dropped":1}'
+    assert dump_line(vars(PackStats(segments_in=5, examples_out=1, segments_dropped=1))) == line
 
 
 @pytest.mark.parametrize(
@@ -174,11 +166,11 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "records.jsonl"
     records = [make_record(f"v{i}") for i in range(3)]
     with open(path, "w", encoding="utf-8") as fp:
-        fp.writelines(record_to_json(written(r)) + "\n" for r in records)
+        fp.writelines(record_to_json(r) + "\n" for r in records)
     with open(path, encoding="utf-8") as fp:
         lines = fp.readlines()
-    assert [record_objects(json.loads(line)) for line in lines] == records
     decoded = [record_from_json(json.loads(line)) for line in lines]
+    assert decoded == records
     assert [record_to_json(r) + "\n" for r in decoded] == lines
 
 
@@ -195,16 +187,17 @@ def segments(draw):
         dur = draw(st.floats(min_value=0.001, max_value=2.0))
         start, end = round_ms(t), round_ms(t + dur)
         if end <= start:
-            end = start + 0.001
+            end = round_ms(start + 0.001)
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            tokens.append(TimedToken(id=tid, word_index=w, start_s=start, end_s=end))
+            tokens.append((tid, w, start, end))
             tid += 1
             if len(tokens) == 32:
                 break
         if len(tokens) == 32:
             break
         t = end + draw(st.floats(min_value=0.001, max_value=1.0))
-    return Segment.from_tokens(tokens)
+    (seg,) = segment_transcript(list(map(list, zip(*tokens))), l_max=32)
+    return seg
 
 
 @given(segments())
@@ -218,7 +211,7 @@ def test_generated_segments_validate_and_round_trip(seg):
         segments=(seg,),
     )
     assert validate_record(record) is None
-    # The segment writer writes a segment as its fields, like every other record.
+    # The segment writer writes a segment as the reference writer does.
     assert_round_trip(record)
 
 
@@ -279,5 +272,5 @@ def test_columns_take_exactly_what_the_field_decoders_take(case):
             columns_field(obj, "items", kinds, decode)
         assert str(raised.value) == str(e)
     else:
-        columns = [[getattr(item, name) for item in decoded] for name in kinds]
+        columns = [[item[k] for item in decoded] for k in range(len(kinds))]
         assert columns_field(obj, "items", kinds, no_fallback) == columns

@@ -8,20 +8,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import example_violations, segment_object
+from oracles import example_violations
+from vidtext import cli, model, pipeline
 from vidtext.cli import main
 from vidtext.config import PipelineConfig
 from vidtext.model import (
     PackedExample,
-    Segment,
-    TimedToken,
-    TimedWord,
+    VideoRecord,
     list_field,
     metadata_from_json,
+    validate_record,
     word_from_json,
 )
-from vidtext.pipeline import process_video_line, run_pipeline
-from vidtext.segmenting import pack_examples, segment_transcript
+from vidtext.pipeline import decode_video, process_video_line, run_pipeline, segment_video
+from vidtext.segmenting import pack_examples, segment_transcript, segment_words
 from vidtext.tokenizers import load_tokenizer, tokenize_words
 
 
@@ -150,7 +150,7 @@ def test_output_examples_validate():
     assert len(lines) == manifest.examples
     for line in lines:
         obj = json.loads(line)
-        segments = list_field(obj, "segments", segment_object)
+        segments = map(json.dumps, obj["segments"])
         assert example_violations(PackedExample(segments, obj["provenance"])) == []
 
 
@@ -204,21 +204,21 @@ def test_error_samples_capped(capsys):
 
 
 # ---------------------------------------------------------------------------
-# The run path against the object API it replaces
+# The run path against the library views
 
 
 def reference_run(lines, cfg, tokenizer):
     """Example lines and data-error notes of ``run`` on lines whose metadata
-    passes the gates, built from token objects: ``tokenize_words`` ->
-    ``segment_transcript`` -> ``pack_examples``, each example written as
-    ``json.dumps`` of ``dataclasses.asdict``."""
+    passes the gates, built by the library views: words decoded one object
+    at a time -> ``tokenize_words`` -> ``segment_transcript`` ->
+    ``pack_examples``, each example written by ``json.dumps``."""
     records, notes = [], []
     for lineno, line in enumerate(lines, start=1):
         obj = json.loads(line)
         try:
             meta = metadata_from_json(obj)
-            words = list_field(obj, "words", word_from_json)
-            tokens = tokenize_words(words, tokenizer)
+            words = [list(column) for column in zip(*list_field(obj, "words", word_from_json))]
+            tokens = tokenize_words(words or [[], [], []], tokenizer)
             segments = segment_transcript(tokens, l_max=cfg.tokens_per_segment)
         except ValueError as e:
             notes.append(f"line {lineno}: skipped ({type(e).__name__}: {e})\n")
@@ -229,7 +229,7 @@ def reference_run(lines, cfg, tokenizer):
     )
     out = [
         json.dumps(
-            {"schema_version": "1", **dataclasses.asdict(ex)},
+            {"schema_version": "1", "segments": list(map(json.loads, ex.segments)), "provenance": ex.provenance},
             ensure_ascii=False,
             separators=(",", ":"),
         )
@@ -308,7 +308,7 @@ def test_run_writes_what_the_object_api_writes(
 def test_run_builds_no_token_objects(monkeypatch, data_dir, tmp_path, command):
     golden = data_dir / "golden_input.jsonl"
     expected = (data_dir / "golden_output.jsonl").read_text()
-    if command == "pack":  # ``segment`` output, packed before and after objects are refused
+    if command == "pack":  # ``segment`` output, packed before and after the object decoders are refused
         segmented, out_path = tmp_path / "segmented.jsonl", tmp_path / "packed.jsonl"
         assert main(["segment", "--input", str(golden), "--output", str(segmented)]) == 0
         argv = ["pack", "--input", str(segmented), "--output", str(out_path), "--stats", str(tmp_path / "s")]
@@ -322,15 +322,68 @@ def test_run_builds_no_token_objects(monkeypatch, data_dir, tmp_path, command):
         assert main(argv) == 0
         expected = out_path.read_text()
 
-    def refuse(self):
-        raise AssertionError(f"{type(self).__name__} built on the {command} path")
+    def refuse(obj):
+        raise AssertionError(f"{obj} decoded one object at a time on the {command} path")
 
-    monkeypatch.setattr(TimedWord, "__post_init__", refuse)
-    monkeypatch.setattr(TimedToken, "__post_init__", refuse)
-    monkeypatch.setattr(Segment, "__post_init__", refuse)
+    # Valid words and tokens are decoded as columns only.
+    monkeypatch.setattr(model, "token_from_json", refuse)
+    monkeypatch.setattr(pipeline, "word_from_json", refuse)
+    monkeypatch.setattr(cli, "word_from_json", refuse)
     if command != "run":
         assert main(argv) == 0
         out = out_path.read_text()
     else:
         _, out = run_to_strings(PipelineConfig(), golden.read_text())
     assert out == expected
+
+
+@given(
+    st.lists(st.tuples(WORD_TEXTS, st.integers(0, 500), st.integers(0, 500)), max_size=30),
+    st.integers(4, 8),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_library_view_segments_as_the_run_path(tiny_tokenizer_dir, words, l_max, bpe):
+    """``segment_transcript`` over ``tokenize_words`` writes the segments that
+    ``segment_words`` writes, or raises its error, for word columns that touch,
+    leave gaps and have no length."""
+    tokenizer = load_tokenizer(str(tiny_tokenizer_dir) if bpe else None)
+    texts, starts, ends, ms = [], [], [], 0
+    for text, gap, length in words:
+        texts.append(text)
+        starts.append((ms + gap) / 1000)
+        ends.append((ms + gap + length) / 1000)
+        ms += gap + length
+    columns = [texts, starts, ends]
+    try:
+        want = segment_words(columns, tokenizer, l_max)[0]
+    except ValueError as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            segment_transcript(tokenize_words(columns, tokenizer), l_max)
+        return
+    assert segment_transcript(tokenize_words(columns, tokenizer), l_max) == want
+
+
+@given(st.lists(transcripts(), min_size=1, max_size=5), st.integers(4, 6), st.booleans())
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_validate_record_accepts_what_segment_writes(tiny_tokenizer_dir, lines, l_max, bpe):
+    cfg = PipelineConfig(tokens_per_segment=l_max, tokenizer_path=str(tiny_tokenizer_dir) if bpe else None)
+    tokenizer = load_tokenizer(cfg.tokenizer_path)
+    for line in lines:
+        try:
+            record, _ = segment_video(*decode_video(json.loads(line)), cfg, tokenizer)
+        except ValueError:  # a data error that ``segment`` skips
+            continue
+        assert validate_record(record) is None
+
+
+def test_validate_record_accepts_the_golden_segment_output(capsys, data_dir):
+    assert main(["segment", "--input", str(data_dir / "golden_input.jsonl")]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        obj = json.loads(line)
+        meta = {key: obj[key] for key in ("video_id", "duration_s", "category", "has_english_asr")}
+        assert validate_record(VideoRecord(**meta, segments=map(json.dumps, obj["segments"]))) is None

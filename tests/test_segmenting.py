@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import example_violations, greedy_word_packing
 from vidtext.config import PipelineConfig
-from vidtext.model import TimedToken, TimedWord, validate_record, VideoRecord
+from vidtext.model import VideoRecord, round_ms, validate_record
 from vidtext.segmenting import (
     OversizeWordError,
     PackStats,
@@ -19,24 +20,27 @@ from vidtext.tokenizers import ByteTokenizer, tokenize_words
 
 
 def timed_tokens(word_lengths, gap=0.1):
-    """Build a token stream with the given number of tokens per word."""
+    """A token stream as ``TOKEN_COLUMNS`` columns, with the given number of
+    tokens per word."""
     tokens = []
     t = 0.0
-    tid = 0
     for w, n in enumerate(word_lengths):
-        start, end = t, t + 0.5
-        for _ in range(n):
-            tokens.append(TimedToken(id=tid, word_index=w, start_s=start, end_s=end))
-            tid += 1
+        start, end = round_ms(t), round_ms(t + 0.5)
+        tokens += [(len(tokens), w, start, end) for _ in range(n)]
         t = end + gap
-    return tokens
+    return [list(column) for column in zip(*tokens)] or [[], [], [], []]
+
+
+def segment_tokens(seg):
+    """The token objects of one segment's JSON."""
+    return json.loads(seg)["tokens"]
 
 
 def test_segment_boundaries_match_greedy_oracle():
     lengths = [3, 5, 2, 8, 7, 1, 6, 4, 9, 2, 2, 3]
     segments = segment_transcript(timed_tokens(lengths), l_max=10)
     expected = greedy_word_packing(lengths, 10)
-    got = [sorted({t.word_index for t in seg.tokens}) for seg in segments]
+    got = [sorted({t["word_index"] for t in segment_tokens(seg)}) for seg in segments]
     assert got == expected
 
 
@@ -44,13 +48,13 @@ def test_segment_boundaries_match_greedy_oracle():
 @settings(max_examples=150)
 def test_words_never_split_across_segments(lengths):
     segments = segment_transcript(timed_tokens(lengths), l_max=8)
-    seen = [sorted({t.word_index for t in seg.tokens}) for seg in segments]
+    seen = [sorted({t["word_index"] for t in segment_tokens(seg)}) for seg in segments]
     assert seen == greedy_word_packing(lengths, 8)
     # Each word appears in exactly one segment.
     flat = list(itertools.chain.from_iterable(seen))
     assert flat == sorted(set(flat)) == list(range(len(lengths)))
     for seg in segments:
-        assert 1 <= len(seg.tokens) <= 8
+        assert 1 <= len(segment_tokens(seg)) <= 8
 
 
 def test_oversize_word_raises():
@@ -61,19 +65,19 @@ def test_oversize_word_raises():
 def test_frame_time_is_segment_midpoint():
     segments = segment_transcript(timed_tokens([2, 2]), l_max=32)
     (seg,) = segments
-    assert seg.frame_time_s == pytest.approx((seg.start_s + seg.end_s) / 2)
+    tokens = segment_tokens(seg)
+    midpoint = (tokens[0]["start_s"] + tokens[-1]["end_s"]) / 2
+    assert json.loads(seg)["frame_time_s"] == pytest.approx(midpoint)
 
 
 def test_empty_token_stream_gives_no_segments():
-    assert segment_transcript([], l_max=32) == []
+    assert segment_transcript([[], [], [], []], l_max=32) == []
 
 
 def test_segments_validate_as_records():
-    words = [
-        TimedWord(text=w, start_s=i * 1.0, end_s=i * 1.0 + 0.8)
-        for i, w in enumerate(["the", "quick", "brown", "fox", "jumps"] * 8)
-    ]
-    tokens = tokenize_words(words, ByteTokenizer())
+    texts = ["the", "quick", "brown", "fox", "jumps"] * 8
+    starts = [i * 1.0 for i in range(len(texts))]
+    tokens = tokenize_words([texts, starts, [t + 0.8 for t in starts]], ByteTokenizer())
     record = VideoRecord(
         video_id="v",
         duration_s=100.0,
@@ -82,7 +86,7 @@ def test_segments_validate_as_records():
         segments=tuple(segment_transcript(tokens, l_max=32)),
     )
     assert validate_record(record) is None
-    assert max(len(seg.tokens) for seg in record.segments) <= 32
+    assert max(len(segment_tokens(seg)) for seg in record.segments) <= 32
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidtext.model import TimedWord
 from vidtext.tokenizers import (
     ByteBpeTokenizer,
     ByteTokenizer,
@@ -98,24 +97,15 @@ def test_a_negative_token_id_is_fatal_not_a_data_error(capsys, tmp_path, data_di
 
 def test_tokenize_words_tokens_inherit_word_spans():
     tok = ByteTokenizer()
-    words = [
-        TimedWord(text="hi", start_s=0.0, end_s=0.5),
-        TimedWord(text="there", start_s=0.6, end_s=1.2),
-    ]
-    tokens = tokenize_words(words, tok)
-    assert len(tokens) == 7
-    assert all(t.word_index == 0 for t in tokens[:2])
-    assert all(t.word_index == 1 for t in tokens[2:])
-    assert all(t.start_s == 0.0 and t.end_s == 0.5 for t in tokens[:2])
-    assert all(t.start_s == 0.6 and t.end_s == 1.2 for t in tokens[2:])
+    ids, word_index, starts, ends = tokenize_words([["hi", "there"], [0.0, 0.6], [0.5, 1.2]], tok)
+    assert ids == list(b"hithere")
+    assert word_index == [0] * 2 + [1] * 5
+    assert starts == [0.0] * 2 + [0.6] * 5
+    assert ends == [0.5] * 2 + [1.2] * 5
 
 
 def test_tokenize_words_skips_empty_words():
     tok = ByteTokenizer()
-    words = [
-        TimedWord(text="", start_s=0.0, end_s=0.1),
-        TimedWord(text="ok", start_s=0.2, end_s=0.4),
-    ]
-    tokens = tokenize_words(words, tok)
+    tokens = tokenize_words([["", "ok"], [0.0, 0.2], [0.1, 0.4]], tok)
     # Word indices still refer to the original list positions.
-    assert [t.word_index for t in tokens] == [1, 1]
+    assert tokens == [list(b"ok"), [1, 1], [0.2, 0.2], [0.4, 0.4]]
