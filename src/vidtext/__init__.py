@@ -21,8 +21,8 @@ _SUBMODULES = {
     "align": ("Alignment", "align_and_time", "dtw_align", "levenshtein", "transfer_timing"),
     "config": ("PipelineConfig", "load_config_file", "resolve_config"),
     "corruption": (
-        "CorruptionCounters", "GateDecision", "PronunciationTable", "corrupt_document",
-        "derive_seed", "normalize_words", "perplexity_gate", "strip_punctuation",
+        "CorruptionCounters", "PronunciationTable", "corrupt_document", "derive_seed",
+        "normalize_words", "strip_punctuation",
     ),
     "filters": (
         "FilterDecision", "ThumbnailEvidence", "mean_pairwise_cosine", "metadata_gate",
@@ -30,7 +30,7 @@ _SUBMODULES = {
     ),
     "losses": (
         "LossReport", "OrderHeadParams", "combine_losses", "contrastive_loss", "gelu",
-        "l2_normalize", "masked_lm_loss", "order_logits", "order_pair_loss", "ordering_loss",
+        "l2_normalize", "masked_lm_loss", "order_logits", "ordering_loss",
     ),
     "masking": (
         "ACTION_KEEP", "ACTION_MASK", "ACTION_RANDOM", "LABEL_SENTINEL", "AttentionProfile",
@@ -45,8 +45,7 @@ _SUBMODULES = {
     ),
     "pipeline": ("RunManifest", "process_video_line", "run_pipeline"),
     "segmenting": (
-        "PackStats", "SequenceShape", "group_for_joint", "pack_examples", "segment_transcript",
-        "sequence_shape",
+        "PackStats", "SequenceShape", "pack_examples", "segment_transcript", "sequence_shape",
     ),
     "selfcheck": ("CheckResult",),
     "tokenizers": ("ByteBpeTokenizer", "ByteTokenizer", "load_tokenizer", "tokenize_words"),

@@ -1,11 +1,12 @@
-"""File formats for embedding matrices and ordering-head parameters.
+"""Readers of embedding matrices, labels and ordering-head parameters.
 
-Matrices travel as ``.npy`` (a shape header plus little-endian IEEE floats;
+Matrices arrive as ``.npy`` (a shape header plus little-endian IEEE floats;
 only 32/64-bit float payloads are accepted) or, for small hand-written
 tests, as JSON of nested lists of finite JSON numbers (integers for labels),
-checked as strictly as JSONL lines.  Ordering-head parameters bundle as ``.npz``
-with keys ``w1``, ``b1``, ``w2``, ``b2``; the activation name is
-configuration, not data.
+checked as strictly as JSONL lines.  Ordering-head parameters arrive bundled
+as ``.npz`` with keys ``w1``, ``b1``, ``w2``, ``b2``; the activation name is
+configuration, not data.  This module only reads: callers write these
+files with ``np.save`` and ``np.savez``.
 """
 
 from __future__ import annotations
@@ -64,13 +65,6 @@ def load_matrix(path: str | Path) -> np.ndarray:
     return _load_json(p, float)
 
 
-def save_matrix(path: str | Path, arr: np.ndarray) -> None:
-    p = Path(path)
-    if p.suffix != ".npy":
-        raise ValueError(f"matrices are written as .npy, got {p.name}")
-    np.save(p, np.asarray(arr, dtype="<f8"), allow_pickle=False)
-
-
 def load_int_vector(path: str | Path) -> np.ndarray:
     """Read integer labels from .npy or a JSON list."""
     p = Path(path)
@@ -94,13 +88,3 @@ def load_order_head(path: str | Path, activation: str = "gelu") -> OrderHeadPara
             b2=_check_float_array(blob["b2"], "b2"),
             activation=activation,
         )
-
-
-def save_order_head(path: str | Path, params: OrderHeadParams) -> None:
-    np.savez(
-        Path(path),
-        w1=params.w1.astype("<f8"),
-        b1=params.b1.astype("<f8"),
-        w2=params.w2.astype("<f8"),
-        b2=params.b2.astype("<f8"),
-    )

@@ -6,7 +6,8 @@ Stages read and write line-delimited JSON so they compose through pipes:
     vidtext run --input raw.jsonl --output packed.jsonl --manifest run.json
 
 Exit codes: 0 success, 1 finished but some records were skipped as data
-errors, 2 fatal (bad usage, unreadable files, invalid config, numpy missing).
+errors, 2 fatal (bad usage, unreadable files, invalid config, numpy missing,
+an interrupt).
 
 ``main`` sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller has set it,
 before any subcommand imports numpy.  The subcommands' numpy work is
@@ -611,6 +612,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 2
     except (OSError, ImportError, *DATA_ERRORS) as e:
         if isinstance(e, ImportError) and e.name != "numpy":
             raise  # a vidtext import that fails is a bug: keep its traceback

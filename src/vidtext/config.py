@@ -91,9 +91,6 @@ class PipelineConfig:
         canonical = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def replace(self, **kwargs: Any) -> "PipelineConfig":
-        return dataclasses.replace(self, **kwargs)
-
 
 # Each field's JSON type, from its annotation; a field defaulting to None may be null.
 _JSON_TYPES = {"int": int, "float": float, "bool": bool, "str | None": str}

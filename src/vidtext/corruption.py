@@ -67,9 +67,6 @@ class PronunciationTable:
         """Alternatives sharing a pronunciation, sorted, never containing `word`."""
         return self._map.get(word, ())
 
-    def __len__(self) -> int:
-        return len(self._map)
-
     @classmethod
     def empty(cls) -> "PronunciationTable":
         return cls({})
@@ -186,25 +183,3 @@ def corrupt_document(
             counters.fillers += 1
         out.append(emitted)
     return out
-
-
-@dataclass(frozen=True)
-class GateDecision:
-    accepted: bool
-    offending_group: int | None = None  # first group over threshold, reject only
-
-
-def perplexity_gate(
-    per_group_perplexities: Sequence[float], threshold: float = 200.0
-) -> GateDecision:
-    """Reject when any group's perplexity strictly exceeds ``threshold``."""
-    if len(per_group_perplexities) == 0:
-        raise ValueError("perplexity_gate requires at least one group")
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    for idx, ppl in enumerate(per_group_perplexities):
-        if not ppl > 0:
-            raise ValueError(f"group {idx}: perplexity must be positive, got {ppl}")
-        if ppl > threshold:
-            return GateDecision(accepted=False, offending_group=idx)
-    return GateDecision(accepted=True)

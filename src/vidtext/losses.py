@@ -1,8 +1,9 @@
-"""Numeric loss computations with analytic gradients where checkable.
+"""Numeric loss computations, with the contrastive loss's analytic gradients.
 
 These functions are correctness oracles, not training code: everything runs
-in float64, inputs are plain arrays, and the contrastive and ordering-head
-losses expose closed-form gradients so finite differences can confirm them.
+in float64 and inputs are plain arrays.  The contrastive loss exposes
+closed-form gradients so finite differences can confirm them; the ordering
+head is a forward pass only, scored by ``ordering_loss`` over its logits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .masking import LABEL_SENTINEL
 from .ordering import logsumexp
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
@@ -137,15 +137,10 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + _erf(x / _SQRT2))
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * (1.0 + _erf(x / _SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-
-
 _ACTIVATIONS = {
-    "gelu": (gelu, gelu_grad),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(np.float64)),
-    "identity": (lambda x: x, lambda x: np.ones_like(x)),
+    "gelu": gelu,
+    "relu": lambda x: np.maximum(x, 0.0),
+    "identity": lambda x: x,
 }
 
 
@@ -220,49 +215,11 @@ def _check_pair(h_i, h_j, params: OrderHeadParams) -> np.ndarray:
     return x
 
 
-def _forward(x: np.ndarray, params: OrderHeadParams) -> tuple[np.ndarray, ...]:
-    """(pre-activation, hidden, logits) of the head on a checked pair ``x``."""
-    pre = params.w1 @ x + params.b1
-    hidden = _ACTIVATIONS[params.activation][0](pre)
-    return pre, hidden, params.w2 @ hidden + params.b2
-
-
 def order_logits(h_i, h_j, params: OrderHeadParams) -> np.ndarray:
     """Class logits for one ordered pair of hidden states."""
-    return _forward(_check_pair(h_i, h_j, params), params)[2]
-
-
-def order_pair_loss(
-    h_i, h_j, true_class: int, params: OrderHeadParams, want_grads: bool = False
-) -> LossReport:
-    """Cross-entropy of the ordering head on one pair, with full backprop.
-
-    Gradient keys: ``h_i``, ``h_j``, ``w1``, ``b1``, ``w2``, ``b2``.
-    """
     x = _check_pair(h_i, h_j, params)
-    if not 0 <= true_class < params.n_classes:
-        raise ValueError(
-            f"true_class {true_class} outside the {params.n_classes}-class head"
-        )
-    pre, hidden, logits = _forward(x, params)
-    value = float(logsumexp(logits) - logits[true_class])
-    grads = None
-    if want_grads:
-        d_logits = np.exp(logits - logsumexp(logits))
-        d_logits[true_class] -= 1.0
-        d_hidden = params.w2.T @ d_logits
-        d_pre = d_hidden * _ACTIVATIONS[params.activation][1](pre)
-        d_x = params.w1.T @ d_pre
-        half = x.shape[0] // 2
-        grads = {
-            "h_i": d_x[:half],
-            "h_j": d_x[half:],
-            "w1": np.outer(d_pre, x),
-            "b1": d_pre,
-            "w2": np.outer(d_logits, hidden),
-            "b2": d_logits,
-        }
-    return LossReport(value=value, gradients=grads)
+    hidden = _ACTIVATIONS[params.activation](params.w1 @ x + params.b1)
+    return params.w2 @ hidden + params.b2
 
 
 def ordering_loss(logits: Sequence, true_classes: Sequence[int]) -> LossReport:

@@ -411,7 +411,9 @@ Outcome = tuple[str, Any]  # (status, payload): a record, a reject reason or a m
 # traceback.  json.JSONDecodeError and UnicodeDecodeError are ValueErrors.
 # ``decode_line`` turns the parser's RecursionError into a ValueError; it stays
 # here for code that walks a record nested nearly as deep as the parser allows.
-DATA_ERRORS = (ValueError, TypeError, KeyError, OverflowError, RecursionError)
+# A MemoryError is a line too big for the memory at hand (an ``align`` pair's
+# cost matrix): that line is skipped, and the lines after it are still handled.
+DATA_ERRORS = (ValueError, TypeError, KeyError, OverflowError, RecursionError, MemoryError)
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 

@@ -131,11 +131,6 @@ class PairwiseRelationTable:
         np.put_along_axis(lp, _class_matrix(perm)[:, :, None], math.log(correct_mass), axis=2)
         return cls(lp)
 
-    def to_two_way(self) -> np.ndarray:
-        """Marginalize onto {before, after} and renormalize each cell."""
-        two = self.log_probs[:, :, (CLASS_BEFORE, CLASS_AFTER)]
-        return two - logsumexp(two, axis=2, keepdims=True)
-
 
 def _class_matrix(sigma: tuple[int, ...]) -> np.ndarray:
     """cls[i, j] = relation class of caption i vs the slot sigma assigns j."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import signal
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Any, Iterable, Iterator
@@ -100,6 +101,9 @@ class RunManifest:
 
 def _init_worker(cfg: PipelineConfig, tokenizer) -> None:
     global _worker
+    # Ctrl-C reaches the whole process group; the parent alone handles it and
+    # ends the pool, so a worker neither prints a traceback nor dies mid-task.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker = (cfg, tokenizer)
 
 
@@ -185,13 +189,22 @@ def _result_stream(
         return
     import multiprocessing  # only a pool needs it
 
+    stopped = False
+    lines = itertools.chain([first], itertools.takewhile(lambda _: not stopped, numbered))
     # The workers get the parent's tokenizer: a pool whose initializer raises
     # starts new workers for ever.
     with multiprocessing.Pool(
         processes=jobs, initializer=_init_worker, initargs=(cfg, tokenizer)
     ) as pool:
-        lines = itertools.chain([first], numbered)
-        yield from pool.imap(_numbered_video_line, lines, chunksize=_CHUNKSIZE)
+        try:
+            yield from pool.imap(_numbered_video_line, lines, chunksize=_CHUNKSIZE)
+        finally:
+            # However the stream ends (Ctrl-C included), stop feeding lines and let
+            # the workers finish the ones they hold: ``Pool.terminate`` alone
+            # deadlocks when a worker is in the middle of sending a large result.
+            stopped = True
+            pool.close()
+            pool.join()
 
 
 def write_examples(

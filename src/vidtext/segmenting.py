@@ -178,16 +178,3 @@ def pack_examples(
             buf = []
             provenance = []
     stats.segments_dropped += len(buf)
-
-
-def group_for_joint(example: PackedExample, group: int = 4) -> list[tuple[str, ...]]:
-    """Partition an example into consecutive groups of ``group`` segments."""
-    n = len(example.segments)
-    if group < 1:
-        raise ValueError(f"group must be at least 1, got {group}")
-    if n % group:
-        raise ValueError(f"{n} segments cannot be split into groups of {group}")
-    return [
-        tuple(example.segments[i : i + group]) for i in range(0, n, group)
-    ]
-

@@ -4,20 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from vidtext.arrayio import (
-    load_int_vector,
-    load_matrix,
-    load_order_head,
-    save_matrix,
-    save_order_head,
-)
+from vidtext.arrayio import load_int_vector, load_matrix, load_order_head
 from vidtext.losses import OrderHeadParams
 
 
 def test_matrix_npy_round_trip(tmp_path):
     path = tmp_path / "m.npy"
     m = np.arange(12, dtype=np.float64).reshape(3, 4)
-    save_matrix(str(path), m)
+    np.save(path, m)
     np.testing.assert_array_equal(load_matrix(str(path)), m)
 
 
@@ -116,7 +110,7 @@ def test_order_head_npz_round_trip(tmp_path):
         b2=rng.normal(size=4),
     )
     path = tmp_path / "head.npz"
-    save_order_head(str(path), params)
+    np.savez(path, w1=params.w1, b1=params.b1, w2=params.w2, b2=params.b2)
     loaded = load_order_head(str(path))
     for name in ("w1", "b1", "w2", "b2"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))

@@ -5,15 +5,22 @@ Lines are generated valid, malformed, and with each strict-type defect the
 decoder must turn into a data error.  Generated transcripts keep their words
 in time order and short enough for one segment, so a line's outcome is
 decided by decoding and the gates alone, which ``filter`` and ``run`` share.
+
+The other streaming subcommands get mutated copies of valid seed lines: every
+non-blank line ends as one output line or one skip note, never a traceback.
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -228,3 +235,117 @@ def test_huge_table_integers_get_short_notes_that_name_their_field(tmp_path):
         src.write_text(line + "\n", encoding="utf-8")
         code, err = _main(["eval-story", "--tables", str(src), "--truths", str(truths)])
         assert (code, err) == (2, f"error: {src} line 1: {note}\n")
+
+
+# ---------------------------------------------------------------------------
+# mutated seed lines of every other streaming subcommand
+
+HALF, LIKELY, UNLIKELY = math.log(0.5), math.log(0.9), math.log(0.1)
+VIDEO = json.dumps({
+    "video_id": "v1", "duration_s": 30.0, "category": "Howto", "has_english_asr": True,
+    "words": [{"text": w, "start_s": k * 0.6, "end_s": k * 0.6 + 0.5}
+              for k, w in enumerate("so first we take the pan and heat it slowly".split())],
+})
+SEEDS = {
+    "align": [
+        json.dumps({"noisy": [{"text": "helo", "start_s": 0.0, "end_s": 0.4},
+                              {"text": "wrld", "start_s": 0.5, "end_s": 0.9}],
+                    "clean": ["hello", "world"]}),
+        json.dumps({"noisy": [{"text": "newyork", "start_s": 1, "end_s": 2}],
+                    "clean": ["new", "york", "city"]}),
+    ],
+    "corrupt": [json.dumps({"doc_id": "d1", "words": ["the", "cat", "sat", "down"]})],
+    "segment": [VIDEO],
+    "mask": [json.dumps({"sequence_id": "s1", "tokens": list(range(10, 22)),
+                         "weights": [0.5, 0.1, 0.9, 0.3] * 3, "special_positions": [0, 11]})],
+    "score-order": [
+        json.dumps({"n": 2, "classes": 2, "log_probs": [HALF, HALF, LIKELY, UNLIKELY,
+                                                        UNLIKELY, LIKELY, HALF, HALF]}),
+        json.dumps({"n": 3, "log_probs": [math.log(0.25)] * 36}),
+    ],
+}
+FLAGS = {
+    "corrupt": ["--replace-prob", "0.5", "--filler-prob", "0.3"],
+    "mask": ["--vocab-size", "40", "--mask-id", "3"],
+}
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**30),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 40), max_size=3),
+    st.just({}),
+)
+
+
+@cache
+def seeds(command: str) -> list[str]:
+    """``pack`` reads what ``segment`` writes."""
+    if command != "pack":
+        return SEEDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
+        src.write_text(VIDEO + "\n", encoding="utf-8")
+        assert _main(["segment", "--input", str(src), "--output", str(out)]) == (0, "")
+        return out.read_text(encoding="utf-8").splitlines()
+
+
+def _slots(value):
+    """(container, key) of every value inside ``value``."""
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, inner in items:
+        yield value, key
+        yield from _slots(inner)
+
+
+@st.composite
+def mutated_lines(draw, command: str) -> str:
+    obj = json.loads(draw(st.sampled_from(seeds(command))))
+    for _ in range(draw(st.integers(0, 2))):
+        slots = list(_slots(obj))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON_VALUES)
+    line = json.dumps(obj)
+    edit = draw(st.sampled_from(["none", "none", "none", "cut", "insert", "drop"]))
+    at = draw(st.integers(0, len(line)))
+    if edit == "cut":
+        line = line[:at]
+    elif edit == "insert":
+        line = line[:at] + draw(st.characters(exclude_categories=["Cs"], exclude_characters="\n")) + line[at:]
+    elif edit == "drop":
+        line = line[:at] + line[at + 1:]
+    return line
+
+
+@pytest.mark.parametrize("command", [*SEEDS, "pack"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_line_of_every_subcommand_is_one_output_line_or_one_note(command, data):
+    lines = data.draw(
+        st.lists(st.one_of(mutated_lines(command), st.sampled_from(["", "  "])), min_size=1, max_size=6)
+    )
+    numbered = [k for k, line in enumerate(lines, 1) if line.encode().strip()]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out, stats = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl", Path(tmp) / "stats.json"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [command, "--input", str(src), "--output", str(out), *FLAGS.get(command, [])]
+        code, err = _main(argv + (["--stats", str(stats)] if command == "pack" else []))
+        written = out.read_text(encoding="utf-8")
+        counts = json.loads(stats.read_text()) if command == "pack" else None
+
+    notes = [re.fullmatch(r"line (\d+): skipped \(.+\)", note) for note in err.splitlines()]
+    assert all(notes), err
+    skipped = [int(note[1]) for note in notes]
+    assert sorted(set(skipped)) == skipped and set(skipped) <= set(numbered)
+    assert code == (1 if skipped else 0)
+    kept = [lines[k - 1] for k in numbered if k not in skipped]
+    if command == "pack":
+        assert counts["segments_in"] == sum(len(json.loads(line)["segments"]) for line in kept)
+    else:
+        assert written.count("\n") == len(kept)

@@ -5,8 +5,11 @@ import json
 import math
 import os
 import random
+import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -341,6 +344,85 @@ def test_an_unloadable_tokenizer_is_one_fatal_error_at_any_jobs(tmp_path, data_d
         done = _python(f"import sys; from vidtext.cli import main; sys.exit(main({argv!r}))", 60)
         assert done.returncode == 2, done
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+
+def _process_group_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ctrl_c_ends_a_run_with_one_line_and_exit_two(tmp_path, data_dir, jobs):
+    """SIGINT to the process group of a busy ``run``, as Ctrl-C sends it: one
+    ``error: interrupted`` line and exit 2, with no hang and no process left."""
+    import vidtext
+
+    src = tmp_path / "in.jsonl"
+    src.write_bytes((data_dir / "golden_input.jsonl").read_bytes() * 300)  # about 1.5 s of work
+    out, err = tmp_path / "out.jsonl", tmp_path / "err.txt"
+    env = {**os.environ, "PYTHONPATH": str(Path(vidtext.__file__).parents[1])}
+    code = "import sys; from vidtext.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "run", "--jobs", jobs, "--input", str(src),
+            "--output", str(out), "--manifest", str(tmp_path / "manifest.json")]
+    for _ in range(3):
+        out.unlink(missing_ok=True)
+        with open(err, "w") as err_fp:
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err_fp,
+                                    start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30
+            while not out.exists() and time.monotonic() < deadline:  # its first write
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=30) == 2
+            assert err.read_text() == "error: interrupted\n"
+            deadline = time.monotonic() + 5  # no worker outlives the run
+            while _process_group_alive(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _process_group_alive(proc.pid)
+        finally:
+            if _process_group_alive(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def test_a_pair_too_big_for_memory_is_a_data_error_of_its_line(tmp_path):
+    """``align`` under a 350 MB address-space limit: the 6,000-word pair cannot
+    get its cost matrix, so that line is skipped and the lines after it are
+    still aligned, each as it is without the big pair."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    rng = random.Random(5)
+
+    def pair(n: int) -> str:
+        clean = ["".join(rng.choice("abcde") for _ in range(rng.randint(1, 6))) for _ in range(n)]
+        noisy = [{"text": w[::-1], "start_s": k / 2, "end_s": k / 2 + 0.4} for k, w in enumerate(clean)]
+        return json.dumps({"noisy": noisy, "clean": clean})
+
+    small, big, last = pair(3), pair(6000), pair(4)
+
+    def align_limited(lines: list[str]) -> tuple[subprocess.CompletedProcess, str]:
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["align", "--input", str(src), "--output", str(out)]
+        done = _python(
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (350 << 20, 350 << 20))\n"
+            f"from vidtext.cli import main; sys.exit(main({argv!r}))",
+            60,
+        )
+        return done, out.read_text(encoding="utf-8")
+
+    alone, expected = align_limited([small, last])
+    assert (alone.returncode, alone.stderr, expected.count("\n")) == (0, "", 2)
+    done, written = align_limited([small, big, last])
+    assert done.returncode == 1
+    assert re.fullmatch(r"line 2: skipped \(MemoryError: Unable to allocate .*\)\n", done.stderr)
+    assert written == expected
 
 
 def test_a_failed_run_start_leaves_the_output_file(capsys, monkeypatch, tmp_path, data_dir):
@@ -743,7 +825,6 @@ def test_loss_ragged_json_matrix_names_the_file_and_row(capsys, tmp_path):
 
 @pytest.mark.parametrize("activation", ["gelu", "relu"])
 def test_loss_order_is_the_library_loss_of_the_head_logits(capsys, tmp_path, activation):
-    from vidtext.arrayio import save_order_head
     from vidtext.losses import OrderHeadParams, order_logits, ordering_loss
 
     rng = np.random.default_rng(11)
@@ -753,7 +834,7 @@ def test_loss_order_is_the_library_loss_of_the_head_logits(capsys, tmp_path, act
     )
     pairs, classes = rng.normal(size=(6, 6)), rng.integers(0, 4, size=6)
     head = tmp_path / "head.npz"
-    save_order_head(head, params)
+    np.savez(head, w1=params.w1, b1=params.b1, w2=params.w2, b2=params.b2)
     files = {"pairs": pairs, "narrow": pairs[:, :4], "classes": classes, "five": classes[:5]}
     for name, arr in files.items():
         np.save(tmp_path / f"{name}.npy", arr)

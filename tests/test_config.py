@@ -83,12 +83,6 @@ def test_sha256_stable_and_sensitive():
     assert a.sha256() != c.sha256()
 
 
-def test_replace_returns_modified_copy():
-    cfg = PipelineConfig().replace(mask_rate=0.3)
-    assert cfg.mask_rate == 0.3
-    assert PipelineConfig().mask_rate == 0.20
-
-
 def test_to_json_round_trips_through_resolve(tmp_path):
     cfg = PipelineConfig(seed=5, mask_rate=0.11)
     path = tmp_path / "cfg.json"

@@ -10,7 +10,6 @@ from vidtext.corruption import (
     corrupt_document,
     derive_seed,
     normalize_words,
-    perplexity_gate,
     strip_punctuation,
 )
 from vidtext.tokenizers import ByteTokenizer
@@ -165,35 +164,3 @@ def test_from_groups_symmetric():
     table = PronunciationTable.from_groups([("to", "too", "two")])
     assert set(table.homophones("too")) == {"to", "two"}
     assert set(table.homophones("two")) == {"to", "too"}
-
-
-# ---------------------------------------------------------------------------
-# perplexity gate
-
-
-def test_gate_accepts_all_at_or_below_threshold():
-    decision = perplexity_gate([10.0, 200.0, 150.0])
-    assert decision.accepted and decision.offending_group is None
-
-
-def test_gate_rejects_first_offender():
-    decision = perplexity_gate([10.0, 201.0, 999.0])
-    assert not decision.accepted
-    assert decision.offending_group == 1
-
-
-def test_gate_rejects_empty_and_nonpositive():
-    with pytest.raises(ValueError):
-        perplexity_gate([])
-    with pytest.raises(ValueError):
-        perplexity_gate([0.0])
-
-
-@given(
-    st.lists(st.floats(min_value=0.1, max_value=1000.0), min_size=1, max_size=8),
-    st.floats(min_value=1.0, max_value=500.0),
-)
-@settings(max_examples=100)
-def test_gate_matches_any_comparison(values, threshold):
-    decision = perplexity_gate(values, threshold=threshold)
-    assert decision.accepted == all(v <= threshold for v in values)

@@ -15,7 +15,6 @@ from vidtext.losses import (
     logsumexp,
     masked_lm_loss,
     order_logits,
-    order_pair_loss,
     ordering_loss,
 )
 
@@ -220,43 +219,6 @@ def test_order_head_rejects_bad_class_count():
     rng = np.random.default_rng(16)
     with pytest.raises(ValueError):
         head(rng, classes=3)
-
-
-def test_order_pair_loss_matches_oracle():
-    rng = np.random.default_rng(17)
-    p = head(rng)
-    hi, hj = rng.normal(size=6), rng.normal(size=6)
-    logits = order_logits(hi, hj, p)
-    expected = cross_entropy_mean(logits[None, :], [2])
-    assert order_pair_loss(hi, hj, 2, p).value == pytest.approx(expected, rel=1e-12)
-
-
-def test_order_pair_gradients_match_finite_differences():
-    rng = np.random.default_rng(18)
-    p = head(rng)
-    hi, hj = rng.normal(size=6), rng.normal(size=6)
-    report = order_pair_loss(hi, hj, 1, p, want_grads=True)
-
-    fd_hi = finite_difference(
-        lambda x: order_pair_loss(x, hj, 1, p).value, hi
-    )
-    fd_hj = finite_difference(
-        lambda x: order_pair_loss(hi, x, 1, p).value, hj
-    )
-    np.testing.assert_allclose(report.gradients["h_i"], fd_hi, rtol=1e-5, atol=1e-8)
-    np.testing.assert_allclose(report.gradients["h_j"], fd_hj, rtol=1e-5, atol=1e-8)
-
-    for name in ("w1", "b1", "w2", "b2"):
-        def loss_at(x, name=name):
-            fields = {k: getattr(p, k) for k in ("w1", "b1", "w2", "b2")}
-            fields[name] = x
-            moved = OrderHeadParams(**fields)
-            return order_pair_loss(hi, hj, 1, moved).value
-
-        fd = finite_difference(loss_at, getattr(p, name))
-        np.testing.assert_allclose(
-            report.gradients[name], fd, rtol=1e-5, atol=1e-8, err_msg=name
-        )
 
 
 def test_ordering_loss_averages_pairs():

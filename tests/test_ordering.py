@@ -249,18 +249,6 @@ def test_validate_flags_worst_cell():
         PairwiseRelationTable(lp).validate()
 
 
-def test_two_way_marginalization_preserves_before_after_ratio():
-    rng = np.random.default_rng(3)
-    table = random_table(rng, 3)
-    two = table.to_two_way()
-    ratio_four = table.log_probs[..., CLASS_BEFORE] - table.log_probs[..., CLASS_AFTER]
-    ratio_two = two[..., 0] - two[..., 1]
-    np.testing.assert_allclose(ratio_two, ratio_four, rtol=1e-10)
-    np.testing.assert_allclose(
-        np.exp(two).sum(axis=2), np.ones((3, 3)), rtol=1e-10
-    )
-
-
 def test_frame_order_score_sums_directed_pairs():
     rng = np.random.default_rng(4)
     lp = rng.normal(size=(3, 3, 2))

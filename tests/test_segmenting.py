@@ -11,7 +11,6 @@ from vidtext.model import VideoRecord, round_ms, validate_record
 from vidtext.segmenting import (
     OversizeWordError,
     PackStats,
-    group_for_joint,
     pack_examples,
     segment_transcript,
     sequence_shape,
@@ -157,22 +156,6 @@ def test_pack_conserves_segments(counts):
     assert stats.examples_out * 4 + stats.segments_dropped == total
     assert stats.segments_dropped < 4
     assert len(examples) == total // 4
-
-
-def test_group_for_joint_partitions_in_order():
-    records = [record_with_segments("a", 8)]
-    (example,) = pack_examples(iter(records), n_segments=8)
-    groups = group_for_joint(example, group=4)
-    assert len(groups) == 2
-    assert [len(g) for g in groups] == [4, 4]
-    assert tuple(groups[0]) + tuple(groups[1]) == example.segments
-
-
-def test_group_for_joint_requires_divisibility():
-    records = [record_with_segments("a", 6)]
-    (example,) = pack_examples(iter(records), n_segments=6)
-    with pytest.raises(ValueError):
-        group_for_joint(example, group=4)
 
 
 # ---------------------------------------------------------------------------
