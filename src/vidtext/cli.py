@@ -20,6 +20,7 @@ the environment alone.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import stat
 import sys
@@ -396,13 +397,10 @@ def _cmd_score_order(args) -> int:
     cli = sys.modules[__name__]
 
     def handle(obj: Any) -> dict[str, Any]:
-        import numpy as np
-
-        with np.errstate(over="ignore", invalid="ignore"):  # a -inf score is checked below
-            classes, table = _table_from_json(obj)
-            search = cli.best_ordering if classes == 4 else cli.best_frame_ordering
-            perm, score = search(table)
-        if not np.isfinite(score):  # JSON has no -Infinity
+        classes, table = _table_from_json(obj)
+        search = cli.best_ordering if classes == 4 else cli.best_frame_ordering
+        perm, score = search(table)
+        if not math.isfinite(score):  # JSON has no -Infinity
             raise ValueError(f"best score {score} is not finite")
         return {"permutation": perm, "score": score}
 

@@ -54,6 +54,7 @@ def l2_normalize(m) -> np.ndarray:
     return mat / norms[:, None]
 
 
+@np.errstate(all="ignore")  # LossReport rejects a value that is not finite
 def contrastive_loss(
     frames,
     captions,
@@ -77,8 +78,8 @@ def contrastive_loss(
     c = _as_matrix(captions, "captions")
     if f.shape != c.shape:
         raise ValueError(f"shape mismatch: frames {f.shape} vs captions {c.shape}")
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau} (divides logits)")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {tau} (divides logits)")
     for name, m in (("frames", f), ("captions", c)):
         err = np.abs(np.linalg.norm(m, axis=1) - 1.0).max()
         if err > norm_tol:
@@ -106,6 +107,7 @@ def contrastive_loss(
     return LossReport(value=value, gradients=grads)
 
 
+@np.errstate(all="ignore")  # LossReport rejects a value that is not finite
 def masked_lm_loss(logits, labels) -> LossReport:
     """Mean cross-entropy over the positions whose label is not the sentinel."""
     z = _as_matrix(logits, "logits")

@@ -29,6 +29,7 @@ CLASS_DIFFERENT = 3
 MAX_FRAMES = 16  # best_frame_ordering's subset table holds 2^n * n values
 
 
+@np.errstate(all="ignore")  # an infinite or NaN result is the caller's to check
 def logsumexp(a, axis=None, keepdims: bool = False):
     """``log(sum(exp(a)))`` over ``axis`` by scipy 1.17's formula, bit for bit:
     the maxima are counted apart from the rest, which is shifted by the max (by 0
@@ -157,6 +158,7 @@ def _slot_scores(table: PairwiseRelationTable) -> np.ndarray:
     return np.stack([table.log_probs[captions, :, c].sum(axis=0) for c in cls.T], axis=1)
 
 
+@np.errstate(all="ignore")  # a sum may overflow to a -inf score, the caller's to check
 def best_ordering(table: PairwiseRelationTable) -> tuple[tuple[int, ...], float]:
     """Argmax of ``score_permutation`` as one assignment of elements to slots;
     ties pick the lexicographically smallest permutation."""
@@ -232,6 +234,7 @@ def _frame_slot_optima(gains: np.ndarray, slot_of: dict[int, int]) -> tuple[floa
     return float(head[-1]), at
 
 
+@np.errstate(all="ignore")  # a sum may overflow to a -inf score, the caller's to check
 def best_frame_ordering(two_way: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Exact argmax of ``frame_order_score`` for n up to ``MAX_FRAMES``, by dynamic
     programming over the set of frames in the first slots (Held & Karp 1962).

@@ -1,11 +1,15 @@
 """The benchmark's tracer swaps module-level names of ``vidtext`` for timed
-wrappers; this keeps a simplification from deleting one of them unnoticed,
-and runs ``run`` once under the tracer, as the benchmark's ``--trace 1`` does.
+wrappers, and reads two names through the package root; this keeps a
+simplification from deleting one of them unnoticed, and runs ``run`` once
+under the tracer, as the benchmark's ``--trace 1`` does.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+import vidtext
 import vidtext.cli
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -25,6 +29,16 @@ def test_every_name_the_benchmark_traces_exists():
         assert vidtext.cli.main is not main
     assert vidtext.cli.main is main
     assert "open" not in vars(vidtext.cli)
+
+
+def test_the_package_root_gives_the_two_names_the_benchmark_reads_and_no_other():
+    from vidtext import _kernels, align
+
+    assert vidtext.levenshtein is align.levenshtein
+    assert vidtext.numba_active is _kernels.numba_active
+    for name in ("PipelineConfig", "best_ordering", "__all__"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(vidtext, name)
 
 
 def test_a_traced_run_writes_what_an_untraced_run_writes(tmp_path, data_dir):

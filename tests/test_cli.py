@@ -864,6 +864,56 @@ def test_loss_mlm_is_the_library_loss(capsys, tmp_path):
     assert (code, json.loads(out), err) == (0, {"schema_version": "1", "loss": "mlm", "value": value}, "")
 
 
+_HUGE = -1e308
+# A normalized 2x2 table: cells (0, 0) and (1, 1) are "same", the others "different
+# video", so every ordering sums two -1e308 log-probabilities and overflows to -inf.
+_OVERFLOW_TABLE = {"n": 2, "log_probs": [
+    0.0, _HUGE, _HUGE, _HUGE, _HUGE, _HUGE, _HUGE, 0.0, _HUGE, _HUGE, _HUGE, 0.0, 0.0, _HUGE, _HUGE, _HUGE,
+]}
+_CONTRASTIVE = ["loss", "contrastive", "--frames", "eye.json", "--captions", "eye.json", "--tau"]
+_BAD_TAU = "temperature must be positive and finite, got {} (divides logits)"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["eval-story", "--tables", "overflow.jsonl", "--truths", "truth.jsonl"],
+            (0, dump_line({"schema_version": "1", "spearman": 1.0, "pairwise_accuracy": 1.0,
+                           "distance": 0.0, "n_stories": 1}) + "\n", ""),
+        ),
+        ([*_CONTRASTIVE, "nan"], (2, "", f"error: {_BAD_TAU.format('nan')}\n")),
+        ([*_CONTRASTIVE, "inf"], (2, "", f"error: {_BAD_TAU.format('inf')}\n")),
+        ([*_CONTRASTIVE, "1e-320"], (2, "", "error: loss value must be finite, got nan\n")),
+        (
+            ["loss", "mlm", "--logits", "huge.json", "--labels", "one.json"],
+            (2, "", "error: loss value must be finite, got inf\n"),
+        ),
+    ],
+    ids=["eval-story-overflow", "tau-nan", "tau-inf", "tau-subnormal", "mlm-overflow"],
+)
+def test_numpy_float_warnings_never_reach_stderr(capsys, tmp_path, monkeypatch, argv, expected):
+    """An overflow or NaN inside a search or a loss is checked after it, so numpy's
+    RuntimeWarning (an error under this suite's settings) must not escape."""
+    files = {
+        "overflow.jsonl": json.dumps(_OVERFLOW_TABLE) + "\n",
+        "truth.jsonl": '{"order": [0, 1]}\n',
+        "eye.json": "[[1.0, 0.0], [0.0, 1.0]]",
+        "huge.json": "[[1e308, -1e308, 0.0]]",
+        "one.json": "[1]",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, argv) == expected
+
+
+def test_selfcheck_fails_an_infinite_temperature(capsys):
+    code, out, err = run_cli(capsys, ["selfcheck", "--tau", "inf"])
+    assert (code, err) == (1, "")
+    assert f"contrastive-gradient: FAIL ({_BAD_TAU.format('inf')})\n" in out
+
+
 def test_loss_combine(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -3,8 +3,6 @@
 import json
 
 from vidtext.cli import main
-from vidtext.config import PipelineConfig
-from vidtext.pipeline import run_pipeline
 
 
 def test_golden_run_reproduces_committed_bytes(tmp_path, data_dir):
@@ -26,30 +24,6 @@ def test_golden_run_reproduces_committed_bytes(tmp_path, data_dir):
     assert (
         manifest_path.read_bytes() == (data_dir / "golden_manifest.json").read_bytes()
     )
-
-
-def test_golden_run_independent_of_worker_count(tmp_path, data_dir):
-    outputs = []
-    for jobs in (1, 4, 8):
-        out_path = tmp_path / f"out{jobs}.jsonl"
-        with open(data_dir / "golden_input.jsonl", encoding="utf-8") as fin, open(
-            out_path, "w", encoding="utf-8"
-        ) as fout:
-            manifest = run_pipeline(PipelineConfig(), fin, fout, jobs=jobs)
-        outputs.append((out_path.read_bytes(), json.dumps(manifest.to_json())))
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_golden_run_repeatable_within_process(tmp_path, data_dir):
-    blobs = []
-    for rep in range(2):
-        out_path = tmp_path / f"rep{rep}.jsonl"
-        with open(data_dir / "golden_input.jsonl", encoding="utf-8") as fin, open(
-            out_path, "w", encoding="utf-8"
-        ) as fout:
-            run_pipeline(PipelineConfig(), fin, fout)
-        blobs.append(out_path.read_bytes())
-    assert blobs[0] == blobs[1]
 
 
 def test_golden_manifest_counts_conserve(data_dir):
@@ -111,3 +85,20 @@ def test_golden_align_reproduces_committed_bytes(capsys, tmp_path, data_dir):
     code = main(["align", "--input", str(data_dir / "golden_align_input.jsonl"), "--output", str(out_path)])
     assert (code, capsys.readouterr().err) == (1, "".join(note + "\n" for note in GOLDEN_ALIGN_NOTES))
     assert out_path.read_bytes() == (data_dir / "golden_align_output.jsonl").read_bytes()
+
+
+def test_golden_score_order_and_eval_story_reproduce_committed_bytes(capsys, data_dir):
+    """4-class tables of n = 1, 3, 5 and 8, a uniform table where every ordering
+    ties, a table whose best score overflows to -inf, 2-class tables of n = 2, 6
+    and 12 and a malformed line; then one story set, macro-averaged."""
+    code = main(["score-order", "--input", str(data_dir / "golden_order_input.jsonl")])
+    assert (code, *capsys.readouterr()) == (
+        1,
+        (data_dir / "golden_order_output.jsonl").read_text(encoding="utf-8"),
+        (data_dir / "golden_order_stderr.txt").read_text(encoding="utf-8"),
+    )
+    argv = ["eval-story", "--tables", str(data_dir / "golden_story_tables.jsonl"),
+            "--truths", str(data_dir / "golden_story_truths.jsonl")]
+    assert (main(argv), *capsys.readouterr()) == (
+        0, (data_dir / "golden_story_output.jsonl").read_text(encoding="utf-8"), ""
+    )
