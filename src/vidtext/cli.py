@@ -370,9 +370,7 @@ def _cmd_loss(args) -> int:
         report = ordering_loss(logits, [int(c) for c in classes])
         out = {"loss": "order", "value": report.value}
     else:
-        value = combine_losses(
-            args.mlm, args.contrastive, args.ordering, contrastive_coeff=args.coeff
-        )
+        value = combine_losses(args.mlm, args.contrastive, args.ordering, coeff=args.coeff)
         out = {"loss": "combined", "value": value}
     print(dump_line({"schema_version": SCHEMA_VERSION, **out}))
     return 0

@@ -247,18 +247,19 @@ def ordering_loss(logits: Sequence, true_classes: Sequence[int]) -> LossReport:
 
 
 def combine_losses(
-    mask_lm: float,
+    mlm: float,
     contrastive: float,
     ordering: float,
-    contrastive_coeff: float = 0.25,
+    coeff: float = 0.25,
 ) -> float:
-    """Weighted sum of the three pretraining losses."""
+    """Weighted sum of the three pretraining losses; the parameters are named
+    after ``loss combine``'s flags, so an error names the flag."""
     for name, v in (
-        ("mask_lm", mask_lm),
+        ("mlm", mlm),
         ("contrastive", contrastive),
         ("ordering", ordering),
-        ("contrastive_coeff", contrastive_coeff),
+        ("coeff", coeff),
     ):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    return mask_lm + contrastive_coeff * contrastive + ordering
+    return mlm + coeff * contrastive + ordering

@@ -1,4 +1,3 @@
-import json
 import sys
 from pathlib import Path
 
@@ -29,19 +28,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def tiny_tokenizer_dir(tmp_path: Path) -> Path:
-    """A miniature merge-based vocabulary over plain ASCII bytes."""
-    # Byte-level BPE maps bytes to printable stand-ins; for ASCII letters the
-    # stand-in is the letter itself, so these entries are literal.
-    vocab = {chr(c): c - 33 for c in range(33, 127)}
-    base = len(vocab)
-    for k, piece in enumerate(["th", "he", "the", "er", "in", "re", "an"]):
-        vocab[piece] = base + k
-    merges = ["t h", "h e", "th e", "e r", "i n", "r e", "a n"]
-    d = tmp_path / "tok"
-    d.mkdir()
-    (d / "vocab.json").write_text(json.dumps(vocab), encoding="utf-8")
-    (d / "merges.txt").write_text(
-        "#version: tiny\n" + "\n".join(merges) + "\n", encoding="utf-8"
-    )
-    return d
+def tiny_tokenizer_dir() -> Path:
+    """A miniature merge-based vocabulary over plain ASCII bytes, the golden
+    table's: seven merges (``t h``, ``h e``, ``th e``, ``e r``, ``i n``, ``r e``,
+    ``a n``) over the 94 printable ASCII characters, which byte-level BPE
+    maps to themselves."""
+    return DATA_DIR / "golden" / "tok"

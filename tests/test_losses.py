@@ -265,7 +265,7 @@ def test_combine_weights_contrastive_quarter():
 
 
 def test_combine_respects_custom_coefficient():
-    assert combine_losses(1.0, 2.0, 3.0, contrastive_coeff=0.5) == pytest.approx(5.0)
+    assert combine_losses(1.0, 2.0, 3.0, coeff=0.5) == pytest.approx(5.0)
 
 
 def test_combine_rejects_non_finite():
