@@ -209,18 +209,16 @@ def _config_from_args(args):
 
 
 def _cmd_filter(args) -> int:
+    from .filters import REASON_PASSED
     from .pipeline import apply_gates, decode_video
 
     cfg = _config_from_args(args)
 
     def decide(obj: Any) -> dict[str, Any]:
         meta, _ = decode_video(obj)
-        decision = apply_gates(meta, obj, cfg)
-        return {
-            "video_id": meta.video_id,
-            "verdict": decision.verdict,
-            "reason": decision.reason,
-        }
+        reason = apply_gates(meta, obj, cfg)
+        verdict = "accept" if reason == REASON_PASSED else "reject"
+        return {"video_id": meta.video_id, "verdict": verdict, "reason": reason}
 
     return _stream(args, decide)
 
@@ -300,20 +298,14 @@ def _cmd_mask(args) -> int:
     def handle(obj: Any) -> dict[str, Any]:
         seq_id = typed_field(obj, "sequence_id", str)
         tokens = typed_list(obj, "tokens", int)
+        if not tokens:
+            raise ValueError("tokens must be non-empty")
         specials = typed_list(obj, "special_positions", int) if "special_positions" in obj else []
         profile = AttentionProfile(
             weights=typed_list(obj, "weights", float), special_positions=frozenset(specials)
         )
         rng = np.random.default_rng(derive_seed(cfg.seed, seq_id))
-        plan = select_targets(
-            len(tokens),
-            profile,
-            rng,
-            rate=cfg.mask_rate,
-            attended_share=cfg.attended_share,
-            span_mean=cfg.span_mean,
-            top_frac=cfg.top_frac,
-        )
+        plan = select_targets(len(tokens), profile, rng, cfg)
         corrupted, labels = apply_plan(
             tokens,
             plan,

@@ -2,8 +2,9 @@
 
 The metadata gates run in a fixed order (ASR presence, duration, category)
 so the reported reason is deterministic; the thumbnail gate runs after them
-when evidence is available.  Classifier probabilities and feature vectors
-are inputs here; producing them is someone else's job.
+when evidence is available.  A gate reads its thresholds from a
+``PipelineConfig`` and returns ``REASON_PASSED`` or a reject reason.
+Classifier probabilities and feature vectors are inputs here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations
 from operator import add, mul
+
+from .config import PipelineConfig
 
 REASON_PASSED = "passed"
 REASON_NO_ASR = "no_asr"
@@ -29,26 +32,7 @@ REJECT_REASONS = (
     REASON_STATIC_VISUALS,
 )
 
-VERDICT_ACCEPT = "accept"
-VERDICT_REJECT = "reject"
-
 _THUMBNAILS = 4
-
-
-@dataclass(frozen=True)
-class FilterDecision:
-    reason: str  # REASON_PASSED or one of REJECT_REASONS
-
-    @property
-    def accepted(self) -> bool:
-        return self.reason == REASON_PASSED
-
-    @property
-    def verdict(self) -> str:
-        return VERDICT_ACCEPT if self.accepted else VERDICT_REJECT
-
-
-_ACCEPT = FilterDecision(REASON_PASSED)
 
 
 @dataclass(frozen=True)
@@ -84,19 +68,20 @@ def _rows(value, name: str) -> tuple[tuple[float, ...], ...]:
     return rows
 
 
-def metadata_gate(meta, max_duration_s: float = 1200.0) -> FilterDecision:
-    """First matching reason wins: no ASR, then too long, then gaming.
+def metadata_gate(meta, cfg: PipelineConfig) -> str:
+    """First matching reason wins: no ASR, then longer than ``max_duration_s``,
+    then gaming.
 
     ``meta`` is anything carrying ``has_english_asr``, ``duration_s`` and
     ``category`` attributes, a ``VideoRecord`` in particular.
     """
     if not meta.has_english_asr:
-        return FilterDecision(REASON_NO_ASR)
-    if meta.duration_s > max_duration_s:
-        return FilterDecision(REASON_TOO_LONG)
+        return REASON_NO_ASR
+    if meta.duration_s > cfg.max_duration_s:
+        return REASON_TOO_LONG
     if str(meta.category).strip().lower() == "gaming":
-        return FilterDecision(REASON_GAMING)
-    return _ACCEPT
+        return REASON_GAMING
+    return REASON_PASSED
 
 
 def _norm(row: tuple[float, ...]) -> float:
@@ -122,28 +107,22 @@ def mean_pairwise_cosine(features) -> float:
     return reduce(add, sims, 0.0) / len(sims) if sims else math.nan
 
 
-def thumbnail_gate(
-    ev: ThumbnailEvidence,
-    prob_threshold: float = 0.30,
-    min_objects: int = 4,
-    sim_threshold: float = 0.9,
-    distinct_classes: bool = False,
-) -> FilterDecision:
+def thumbnail_gate(ev: ThumbnailEvidence, cfg: PipelineConfig) -> str:
     """Reject visually empty or static videos.
 
     The object count is the number of (thumbnail, class) cells at or above
     ``prob_threshold``; with ``distinct_classes`` it is instead the number of
-    classes present in at least one thumbnail.  Videos passing the count are
-    rejected when the mean pairwise cosine similarity of the four feature
-    rows exceeds ``sim_threshold``.
+    classes present in at least one thumbnail.  A count under ``min_objects``
+    rejects; videos passing it are rejected when the mean pairwise cosine
+    similarity of the four feature rows exceeds ``sim_threshold``.
     """
-    hits = [[p >= prob_threshold for p in row] for row in ev.object_probs]
-    if distinct_classes:
+    hits = [[p >= cfg.prob_threshold for p in row] for row in ev.object_probs]
+    if cfg.distinct_classes:
         count = sum(map(any, zip(*hits)))
     else:
         count = sum(map(sum, hits))
-    if count < min_objects:
-        return FilterDecision(REASON_TOO_FEW_OBJECTS)
-    if mean_pairwise_cosine(ev.features) > sim_threshold:
-        return FilterDecision(REASON_STATIC_VISUALS)
-    return _ACCEPT
+    if count < cfg.min_objects:
+        return REASON_TOO_FEW_OBJECTS
+    if mean_pairwise_cosine(ev.features) > cfg.sim_threshold:
+        return REASON_STATIC_VISUALS
+    return REASON_PASSED

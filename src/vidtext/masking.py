@@ -2,9 +2,9 @@
 
 Planning happens in three deterministic phases driven by one generator:
 
-1. seed selection: ``round(rate * maskable)`` distinct positions, each drawn
-   either from the most-attended set (probability ``attended_share``) or
-   uniformly from all maskable positions;
+1. seed selection: ``round(mask_rate * maskable)`` distinct positions, each
+   drawn either from the most-attended set (probability ``attended_share``)
+   or uniformly from all maskable positions;
 2. span extension: per seed, an independent geometric length in each
    direction (mean ``span_mean``); the walk stops at sequence bounds and at
    special positions, so spans stay contiguous;
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .config import PipelineConfig
 
 ACTION_MASK = "mask_token"
 ACTION_RANDOM = "random_token"
@@ -97,13 +99,11 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def attended_set(profile: AttentionProfile, top_frac: float = 0.20) -> set[int]:
-    """The most-attended maskable positions, ties broken by lower index."""
+def attended_set(profile: AttentionProfile, top_frac: float) -> set[int]:
+    """The ``top_frac`` most-attended maskable positions, ties broken by lower index."""
     maskable = profile.maskable()
     if not maskable:
         raise ValueError("attended_set requires at least one maskable position")
-    if not 0.0 <= top_frac <= 1.0:
-        raise ValueError(f"top_frac must be within [0, 1], got {top_frac}")
     k = math.ceil(top_frac * len(maskable))
     ranked = sorted(maskable, key=lambda i: (-profile.weights[i], i))
     return set(ranked[:k])
@@ -128,41 +128,29 @@ class _Pool:
 
 
 def select_targets(
-    n_tokens: int,
-    profile: AttentionProfile,
-    rng: np.random.Generator,
-    rate: float = 0.20,
-    attended_share: float = 0.50,
-    span_mean: float = 0.5,
-    top_frac: float = 0.20,
+    n_tokens: int, profile: AttentionProfile, rng: np.random.Generator, cfg: PipelineConfig
 ) -> MaskPlan:
-    """Plan which positions get corrupted and how.
+    """Plan which positions get corrupted and how, by ``cfg``'s ``mask_rate``,
+    ``attended_share``, ``span_mean`` and ``top_frac``.
 
     ``span_mean`` is the expected extension length per direction; the
     geometric parameter follows from it.  Each seed's span gets the mask,
-    random or keep action with probability 0.8, 0.1 or 0.1.
+    random or keep action with probability 0.8, 0.1 or 0.1.  A sequence
+    with no maskable position, an empty one included, gets an empty plan.
     """
-    if n_tokens < 1:
-        raise ValueError(f"n_tokens must be at least 1, got {n_tokens}")
     if len(profile) != n_tokens:
         raise ValueError(
             f"profile covers {len(profile)} positions but the sequence has {n_tokens}"
         )
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be within [0, 1], got {rate}")
-    if not 0.0 <= attended_share <= 1.0:
-        raise ValueError(f"attended_share must be within [0, 1], got {attended_share}")
-    if span_mean < 0.0:
-        raise ValueError(f"span_mean must be non-negative, got {span_mean}")
 
     maskable = profile.maskable()
     specials = profile.special_positions
-    n_seeds = round_half_up(rate * len(maskable)) if maskable else 0
+    n_seeds = round_half_up(cfg.mask_rate * len(maskable)) if maskable else 0
     empty: tuple = ()
     if n_seeds == 0:
         return MaskPlan({}, empty, empty, empty, empty)
 
-    attended = sorted(attended_set(profile, top_frac))
+    attended = sorted(attended_set(profile, cfg.top_frac))
     att_members = set(attended)
     att_pool = _Pool(attended)
     all_pool = _Pool(maskable)
@@ -170,7 +158,7 @@ def select_targets(
     seeds: list[int] = []
     from_attended: list[bool] = []
     for _ in range(n_seeds):
-        use_attended = bool(rng.random() < attended_share)
+        use_attended = bool(rng.random() < cfg.attended_share)
         primary, secondary = (
             (att_pool, all_pool) if use_attended else (all_pool, att_pool)
         )
@@ -188,7 +176,7 @@ def select_targets(
 
     # Geometric with mean m per direction: success probability 1/(1+m),
     # numpy counts the success itself so one is subtracted.
-    succ = 1.0 / (1.0 + span_mean)
+    succ = 1.0 / (1.0 + cfg.span_mean)
     extensions: list[tuple[int, int]] = []
     spans: list[list[int]] = []
     for seed in seeds:

@@ -11,10 +11,10 @@ is packed-example JSONL plus a manifest of per-stage counts and the config
 hash.  Records are processed by a pool whose results are consumed in input
 order, so worker count never changes a single output byte.  A worker
 decodes, gates, tokenizes and segments a line and writes each segment's
-JSON; the parent packs those and joins each 16 into an example line
-(``write_examples``, which ``pack`` uses too).  ``filter`` and ``segment``
-use its video decoder and gate composition.  Each line goes through
-``model``'s line driver (``decode_line``, ``line_outcome``, ``outcomes``,
+JSON; the parent packs those and joins each ``segments_per_example`` into
+an example line (``write_examples``, which ``pack`` uses too).  ``filter``
+and ``segment`` use its video decoder and gate composition.  Each line goes
+through ``model``'s line driver (``decode_line``, ``line_outcome``, ``outcomes``,
 ``note_skip``), as in every streaming subcommand.
 """
 
@@ -29,8 +29,8 @@ from typing import IO, Any, Iterable, Iterator
 
 from .config import PipelineConfig
 from .filters import (
+    REASON_PASSED,
     REJECT_REASONS,
-    FilterDecision,
     ThumbnailEvidence,
     metadata_gate,
     thumbnail_gate,
@@ -114,30 +114,24 @@ def decode_video(obj: dict[str, Any]) -> tuple[VideoRecord, list[list]]:
     return meta, words
 
 
-def apply_gates(
-    meta: VideoRecord, obj: dict[str, Any], cfg: PipelineConfig
-) -> FilterDecision:
-    """The metadata gate, then the thumbnail gate if metadata passes.
+def apply_gates(meta: VideoRecord, obj: dict[str, Any], cfg: PipelineConfig) -> str:
+    """The metadata gate, then the thumbnail gate if metadata passes: the
+    first gate's reason that is not ``REASON_PASSED``, else that.
 
     Thumbnails are optional and decoded only when the thumbnail gate runs,
     as lists of rows of finite JSON numbers.
     """
-    decision = metadata_gate(meta, max_duration_s=cfg.max_duration_s)
-    if decision.accepted and "thumbnails" in obj:
+    reason = metadata_gate(meta, cfg)
+    if reason == REASON_PASSED and "thumbnails" in obj:
         thumbs = obj["thumbnails"]
         if type(thumbs) is not dict:
             raise ValueError(f"thumbnails must be an object, got {thumbs!r:.40}")
-        decision = thumbnail_gate(
-            ThumbnailEvidence(
-                typed_rows(thumbs, "object_probs", float),
-                typed_rows(thumbs, "features", float),
-            ),
-            prob_threshold=cfg.prob_threshold,
-            min_objects=cfg.min_objects,
-            sim_threshold=cfg.sim_threshold,
-            distinct_classes=cfg.distinct_classes,
+        evidence = ThumbnailEvidence(
+            typed_rows(thumbs, "object_probs", float),
+            typed_rows(thumbs, "features", float),
         )
-    return decision
+        reason = thumbnail_gate(evidence, cfg)
+    return reason
 
 
 def segment_video(
@@ -152,9 +146,9 @@ def segment_video(
 
 def _video_outcome(obj: dict[str, Any], cfg: PipelineConfig, tokenizer) -> Outcome:
     meta, words = decode_video(obj)
-    decision = apply_gates(meta, obj, cfg)
-    if not decision.accepted:
-        return REJECTED, decision.reason
+    reason = apply_gates(meta, obj, cfg)
+    if reason != REASON_PASSED:
+        return REJECTED, reason
     return ACCEPTED, segment_video(meta, words, cfg, tokenizer)[0]
 
 
@@ -212,12 +206,7 @@ def write_examples(
 ) -> PackStats:
     """Pack records of segment JSON into examples and write each as a line."""
     stats = PackStats()
-    for example in pack_examples(
-        records,
-        n_segments=cfg.segments_per_example,
-        cross_video=cfg.cross_video,
-        stats=stats,
-    ):
+    for example in pack_examples(records, cfg, stats):
         output_fp.write(example_to_json(example))
         output_fp.write("\n")
     return stats

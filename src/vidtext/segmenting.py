@@ -11,7 +11,8 @@ segment's frame is sampled at the midpoint of its time span.  That rule is
 time frames by one helper, ``_cut``.
 
 ``pack_examples`` concatenates segment streams across videos and emits
-fixed-size blocks; the trailing remainder is dropped, never padded.
+blocks of ``segments_per_example`` segments; the trailing remainder is
+dropped, never padded.  ``l_max``, the segment limit, is ``tokens_per_segment``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def segment_bounds(
     n_tokens: Sequence[int],
     starts: Sequence[float],
     ends: Sequence[float],
-    l_max: int = 32,
+    l_max: int,
 ) -> list[tuple[int, int]]:
     """The ``[lo, hi)`` word ranges of greedy segments of at most ``l_max`` tokens.
 
@@ -76,8 +77,6 @@ def segment_bounds(
     the previous one ends is a ``ValueError``, checked over all words first;
     a word of more than ``l_max`` tokens is an ``OversizeWordError``.
     """
-    if l_max < 1:
-        raise ValueError(f"l_max must be at least 1, got {l_max}")
     early = list(map(lt, starts[1:], ends))
     if True in early:
         k = early.index(True) + 1
@@ -114,7 +113,7 @@ def _cut(
     return [segment_json(runs[lo:hi], t) for (lo, hi), t in zip(bounds, frames)], frames
 
 
-def segment_words(words: list[list], tokenizer: Tokenizer, l_max: int = 32) -> tuple[list[str], list[float]]:
+def segment_words(words: list[list], tokenizer: Tokenizer, l_max: int) -> tuple[list[str], list[float]]:
     """Tokenize decoded words (``model.columns_field``) and cut them by
     ``segment_bounds``: each segment as its JSON, and its frame time.
 
@@ -132,7 +131,7 @@ def segment_words(words: list[list], tokenizer: Tokenizer, l_max: int = 32) -> t
     return _cut(ids, index, starts, ends, l_max)
 
 
-def segment_transcript(tokens: list[list], l_max: int = 32) -> list[str]:
+def segment_transcript(tokens: list[list], l_max: int) -> list[str]:
     """Split a token stream, as ``TOKEN_COLUMNS`` columns whose tokens of one
     word are adjacent and share its index and span (``tokenize_words``), into
     segments of at most ``l_max`` tokens, each as its JSON."""
@@ -147,19 +146,14 @@ class PackStats:
 
 
 def pack_examples(
-    stream: Iterable[VideoRecord],
-    n_segments: int = 16,
-    cross_video: bool = True,
-    stats: PackStats | None = None,
+    stream: Iterable[VideoRecord], cfg: PipelineConfig, stats: PackStats | None = None
 ) -> Iterator[PackedExample]:
-    """Emit consecutive blocks of exactly ``n_segments`` segments.
+    """Emit consecutive blocks of exactly ``cfg.segments_per_example`` segments.
 
-    Segments are taken in stream order; with ``cross_video`` (the default) a
-    block may span adjacent videos.  Without it, each video's trailing
-    remainder is dropped at that video's end instead of at end-of-stream.
+    Segments are taken in stream order; with ``cfg.cross_video`` a block may
+    span adjacent videos.  Without it, each video's trailing remainder is
+    dropped at that video's end instead of at end-of-stream.
     """
-    if n_segments < 1:
-        raise ValueError(f"n_segments must be at least 1, got {n_segments}")
     stats = stats if stats is not None else PackStats()
     buf: list[str] = []
     provenance: list[tuple[str, int]] = []
@@ -168,12 +162,12 @@ def pack_examples(
             stats.segments_in += 1
             buf.append(seg)
             provenance.append((record.video_id, idx))
-            if len(buf) == n_segments:
+            if len(buf) == cfg.segments_per_example:
                 yield PackedExample(segments=tuple(buf), provenance=tuple(provenance))
                 stats.examples_out += 1
                 buf = []
                 provenance = []
-        if not cross_video and buf:
+        if not cfg.cross_video and buf:
             stats.segments_dropped += len(buf)
             buf = []
             provenance = []

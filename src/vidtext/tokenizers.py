@@ -138,7 +138,7 @@ class ByteBpeTokenizer:
         ids: list[int] = []
         for part in self._bpe(chars) if chars else []:
             if part not in self._vocab:
-                raise ValueError(f"no vocabulary entry for merged piece {part!r}")
+                raise ValueError(f"no vocabulary entry for merged piece {part!r} of {text!r:.40}")
             ids.append(self._vocab[part])
         self._cache[text] = list(ids)
         return ids
@@ -173,11 +173,15 @@ def load_tokenizer(path: str | Path | None) -> Tokenizer:
 
 def encode_words(texts: Sequence[str], tokenizer: Tokenizer) -> list[list[int]]:
     """Each text's token ids, checked non-negative; the first negative id in
-    word order is a ``ValueError``, even when a later text fails to encode."""
+    word order is a ``ValueError``, even when a later text fails to encode.
+    A text that fails to encode is a ``ValueError`` that names it ``words[k]``."""
     ids: list[list[int]] = []
     try:
-        for text in texts:
-            ids.append(tokenizer.encode(text))
+        for k, text in enumerate(texts):
+            try:
+                ids.append(tokenizer.encode(text))
+            except ValueError as e:
+                raise ValueError(f"words[{k}]: {e}") from None
     finally:  # raising here replaces a later text's encoding error
         if min(chain.from_iterable(ids), default=0) < 0:
             bad = next(i for i in chain.from_iterable(ids) if i < 0)

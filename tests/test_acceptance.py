@@ -206,7 +206,7 @@ def test_criterion_06_masking_statistics():
         weights = np.abs(weight_rng.normal(size=seq_len)) + 1e-9
         profile = AttentionProfile(weights=weights, special_positions=specials)
         rng = np.random.default_rng(derive_seed(4, f"seq-{k}"))
-        plan = select_targets(seq_len, profile, rng)
+        plan = select_targets(seq_len, profile, rng, PipelineConfig())
         seeds_total += len(plan.seeds)
         maskable_total += seq_len - len(specials)
         attended_total += sum(plan.seed_from_attended)
@@ -320,7 +320,7 @@ def test_criterion_08_packing_conservation():
     stats = PackStats()
     bad_examples = 0
     n_examples = 0
-    for example in pack_examples(iter(records), n_segments=16, stats=stats):
+    for example in pack_examples(iter(records), PipelineConfig(), stats):
         n_examples += 1
         if example_violations(example, n_segments=16, l_max=32):
             bad_examples += 1

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from vidtext.config import PipelineConfig, load_config_file, resolve_config
+from vidtext.config import SHAPE_FIELDS, PipelineConfig, load_config_file, resolve_config
 
 
 def test_defaults_are_canonical():
@@ -64,13 +65,36 @@ def test_config_file_must_hold_object(tmp_path):
         load_config_file(str(path))
 
 
-def test_validation_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        PipelineConfig(mask_rate=1.5)
-    with pytest.raises(ValueError):
-        PipelineConfig(tokens_per_segment=0)
-    with pytest.raises(ValueError, match="patch must be a positive integer"):
-        PipelineConfig(patch=0)
+# Every bounded field with a value just outside each of its bounds, and the
+# message that names it.  The gates, the mask planner and the packer check
+# none of these ranges themselves.
+_UNIT_FIELDS = (
+    "prob_threshold", "replace_prob", "homophone_share", "filler_prob",
+    "mask_rate", "attended_share", "top_frac",
+)
+_OUT_OF_RANGE = [
+    *(
+        pytest.param(name, value, rf"^{name} must be within \[0, 1\], got {value}$", id=f"{name}{side}")
+        for name in _UNIT_FIELDS
+        for side, value in (("<0", math.nextafter(0.0, -1.0)), (">1", math.nextafter(1.0, 2.0)))
+    ),
+    pytest.param("span_mean", math.nextafter(0.0, -1.0), "^span_mean must be non-negative$", id="span_mean<0"),
+    pytest.param("max_duration_s", 0.0, "^max_duration_s must be positive$", id="max_duration_s<=0"),
+    pytest.param("min_objects", -1, "^min_objects must be non-negative$", id="min_objects<0"),
+    *(
+        pytest.param(name, 0, f"^{name} must be a positive integer, got 0$", id=f"{name}<1")
+        for name in SHAPE_FIELDS
+    ),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _OUT_OF_RANGE)
+def test_validation_rejects_out_of_range(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**{name: value})
+
+
+def test_validation_rejects_a_float_for_an_integer_field():
     with pytest.raises(ValueError, match="pool must be an integer"):
         PipelineConfig(pool=2.0)
 

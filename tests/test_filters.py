@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import mean_cosine_reference, numpy_mean_cosine, numpy_thumbnail_reason
+from vidtext.config import PipelineConfig
 from vidtext.filters import (
     REASON_GAMING,
     REASON_NO_ASR,
@@ -18,6 +19,8 @@ from vidtext.filters import (
     thumbnail_gate,
 )
 from vidtext.model import VideoRecord
+
+CFG = PipelineConfig()
 
 
 def meta(duration=600.0, category="Education", asr=True):
@@ -36,73 +39,66 @@ def evidence(probs=None, features=None):
 
 
 def test_accepts_ordinary_video():
-    decision = metadata_gate(meta())
-    assert decision.accepted and decision.reason == REASON_PASSED
+    assert metadata_gate(meta(), CFG) == REASON_PASSED
 
 
 def test_rejects_missing_asr_first():
     # A video failing several gates reports the earliest one.
-    decision = metadata_gate(meta(duration=5000.0, category="Gaming", asr=False))
-    assert decision.reason == REASON_NO_ASR
+    assert metadata_gate(meta(duration=5000.0, category="Gaming", asr=False), CFG) == REASON_NO_ASR
 
 
 def test_rejects_too_long_before_category():
-    decision = metadata_gate(meta(duration=5000.0, category="Gaming"))
-    assert decision.reason == REASON_TOO_LONG
+    assert metadata_gate(meta(duration=5000.0, category="Gaming"), CFG) == REASON_TOO_LONG
 
 
 def test_duration_limit_is_exclusive():
-    assert metadata_gate(meta(duration=1200.0)).accepted
-    assert metadata_gate(meta(duration=1200.001)).reason == REASON_TOO_LONG
+    assert metadata_gate(meta(duration=1200.0), CFG) == REASON_PASSED
+    assert metadata_gate(meta(duration=1200.001), CFG) == REASON_TOO_LONG
 
 
 def test_gaming_category_case_insensitive():
-    assert metadata_gate(meta(category="gAmInG")).reason == REASON_GAMING
-    assert metadata_gate(meta(category="Games")).accepted
+    assert metadata_gate(meta(category="gAmInG"), CFG) == REASON_GAMING
+    assert metadata_gate(meta(category="Games"), CFG) == REASON_PASSED
 
 
 def test_too_few_objects_counts_cells_across_thumbnails():
     probs = np.zeros((4, 6))
     probs[0, 0] = probs[0, 1] = probs[1, 2] = 0.5  # three qualifying cells
-    decision = thumbnail_gate(evidence(probs=probs))
-    assert decision.reason == REASON_TOO_FEW_OBJECTS
+    assert thumbnail_gate(evidence(probs=probs), CFG) == REASON_TOO_FEW_OBJECTS
 
 
 def test_prob_threshold_is_inclusive():
     probs = np.zeros((4, 6))
     probs[0, :4] = 0.30  # exactly at threshold: counts
-    decision = thumbnail_gate(evidence(probs=probs))
-    assert decision.reason != REASON_TOO_FEW_OBJECTS
+    assert thumbnail_gate(evidence(probs=probs), CFG) != REASON_TOO_FEW_OBJECTS
 
 
 def test_distinct_classes_mode_collapses_repeats():
     # Same single class fires on all four thumbnails: 4 cells, 1 class.
     probs = np.zeros((4, 6))
     probs[:, 0] = 0.9
-    assert thumbnail_gate(evidence(probs=probs)).reason != REASON_TOO_FEW_OBJECTS
-    decision = thumbnail_gate(evidence(probs=probs), distinct_classes=True)
-    assert decision.reason == REASON_TOO_FEW_OBJECTS
+    assert thumbnail_gate(evidence(probs=probs), CFG) != REASON_TOO_FEW_OBJECTS
+    distinct = PipelineConfig(distinct_classes=True)
+    assert thumbnail_gate(evidence(probs=probs), distinct) == REASON_TOO_FEW_OBJECTS
 
 
 def test_static_visuals_on_near_identical_features():
     base = np.random.default_rng(1).normal(size=8)
     features = np.stack([base, base * 1.001, base * 0.999, base])
-    decision = thumbnail_gate(evidence(features=features))
-    assert decision.reason == REASON_STATIC_VISUALS
+    assert thumbnail_gate(evidence(features=features), CFG) == REASON_STATIC_VISUALS
 
 
 def test_similarity_threshold_is_strict():
     # Orthonormal pairs: mean cosine well under 0.9 -> passes.
     features = np.eye(4, 8)
-    assert thumbnail_gate(evidence(features=features)).accepted
+    assert thumbnail_gate(evidence(features=features), CFG) == REASON_PASSED
 
 
 def test_object_gate_runs_before_static_gate():
     base = np.random.default_rng(2).normal(size=8)
     features = np.stack([base] * 4)
     probs = np.zeros((4, 6))
-    decision = thumbnail_gate(evidence(probs=probs, features=features))
-    assert decision.reason == REASON_TOO_FEW_OBJECTS
+    assert thumbnail_gate(evidence(probs=probs, features=features), CFG) == REASON_TOO_FEW_OBJECTS
 
 
 def test_evidence_validates_shapes():
@@ -159,11 +155,17 @@ def test_thumbnail_gate_matches_numpy_reference(
     # The gate's sums are correctly rounded and numpy's are not, so a mean
     # cosine within rounding of the threshold may decide either way.
     cosine = numpy_mean_cosine(features)
-    sim_threshold = cosine + offset
+    sim_threshold = float(cosine + offset)
     assume(abs(cosine - sim_threshold) >= 1e-12)
     prob_threshold = data.draw(
         st.one_of(st.floats(0.0, 1.0), st.sampled_from(probs.ravel().tolist()))
     )
     args = (prob_threshold, min_objects, sim_threshold, distinct_classes)
+    cfg = PipelineConfig(
+        prob_threshold=prob_threshold,
+        min_objects=min_objects,
+        sim_threshold=sim_threshold,
+        distinct_classes=distinct_classes,
+    )
     ev = ThumbnailEvidence(object_probs=probs, features=features.tolist())
-    assert thumbnail_gate(ev, *args).reason == numpy_thumbnail_reason(probs, features, *args)
+    assert thumbnail_gate(ev, cfg) == numpy_thumbnail_reason(probs, features, *args)

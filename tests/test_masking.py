@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vidtext.config import PipelineConfig
 from vidtext.masking import (
     ACTION_KEEP,
     ACTION_MASK,
@@ -53,14 +54,15 @@ def test_attended_set_breaks_weight_ties_by_lower_index():
 
 def test_seed_count_is_round_half_up_of_rate():
     prof = profile(27, specials={0})  # 26 maskable, rate 0.2 -> 5.2 -> 5
-    plan = select_targets(27, prof, np.random.default_rng(0), rate=0.2, span_mean=0.0)
+    cfg = PipelineConfig(mask_rate=0.2, span_mean=0.0)
+    plan = select_targets(27, prof, np.random.default_rng(0), cfg)
     assert len(plan.seeds) == 5
 
 
 def test_same_rng_state_reproduces_plan():
     prof = profile(60, specials={0, 59})
-    p1 = select_targets(60, prof, np.random.default_rng(123))
-    p2 = select_targets(60, prof, np.random.default_rng(123))
+    p1 = select_targets(60, prof, np.random.default_rng(123), PipelineConfig())
+    p2 = select_targets(60, prof, np.random.default_rng(123), PipelineConfig())
     assert p1 == p2
 
 
@@ -68,13 +70,13 @@ def test_specials_never_targeted():
     specials = {0, 10, 20, 30, 49}
     prof = profile(50, specials=specials)
     for seed in range(20):
-        plan = select_targets(50, prof, np.random.default_rng(seed), rate=0.4)
+        plan = select_targets(50, prof, np.random.default_rng(seed), PipelineConfig(mask_rate=0.4))
         assert not (set(plan.targets) & specials)
 
 
 def test_extensions_are_contiguous_with_seed():
     prof = profile(80)
-    plan = select_targets(80, prof, np.random.default_rng(5), span_mean=2.0)
+    plan = select_targets(80, prof, np.random.default_rng(5), PipelineConfig(span_mean=2.0))
     covered = set(plan.targets)
     for seed_pos, (left, right) in zip(plan.seeds, plan.extensions):
         # The realized span around each seed is an unbroken run.
@@ -92,16 +94,23 @@ def test_extension_lengths_recorded_before_clipping():
     # A one-token sequence cannot extend, but the drawn lengths must still
     # be whatever the geometric sampler produced (possibly nonzero).
     prof = AttentionProfile(weights=np.ones(1), special_positions=frozenset())
-    plan = select_targets(1, prof, np.random.default_rng(9), rate=1.0, span_mean=5.0)
+    cfg = PipelineConfig(mask_rate=1.0, span_mean=5.0)
+    plan = select_targets(1, prof, np.random.default_rng(9), cfg)
     assert plan.seeds == (0,)
     assert set(plan.targets) == {0}
     left, right = plan.extensions[0]
     assert left >= 0 and right >= 0
 
 
+def test_an_empty_sequence_gets_an_empty_plan():
+    prof = AttentionProfile(weights=np.ones(0))
+    plan = select_targets(0, prof, np.random.default_rng(0), PipelineConfig(mask_rate=1.0))
+    assert plan.actions == {} and plan.seeds == ()
+
+
 def test_actions_inherited_by_extension_positions():
     prof = profile(100)
-    plan = select_targets(100, prof, np.random.default_rng(11), span_mean=3.0)
+    plan = select_targets(100, prof, np.random.default_rng(11), PipelineConfig(span_mean=3.0))
     covered = set(plan.targets)
     for seed_pos, action, (left, right) in zip(
         plan.seeds, plan.seed_actions, plan.extensions
@@ -117,7 +126,7 @@ def test_actions_inherited_by_extension_positions():
 
 def test_zero_span_mean_means_no_extensions():
     prof = profile(50)
-    plan = select_targets(50, prof, np.random.default_rng(3), span_mean=0.0)
+    plan = select_targets(50, prof, np.random.default_rng(3), PipelineConfig(span_mean=0.0))
     assert all(ext == (0, 0) for ext in plan.extensions)
     assert set(plan.targets) == set(plan.seeds)
 
@@ -127,7 +136,7 @@ def test_zero_span_mean_means_no_extensions():
 def test_plan_targets_within_bounds_and_distinct(seed):
     n = 64
     prof = profile(n, specials={0, 1, 62, 63}, seed=1)
-    plan = select_targets(n, prof, np.random.default_rng(seed), span_mean=1.0)
+    plan = select_targets(n, prof, np.random.default_rng(seed), PipelineConfig(span_mean=1.0))
     targets = plan.targets
     assert len(set(targets)) == len(targets)
     assert all(2 <= t <= 61 for t in targets)
@@ -137,7 +146,7 @@ def test_apply_plan_masks_randomizes_and_keeps():
     n = 200
     prof = profile(n)
     rng = np.random.default_rng(21)
-    plan = select_targets(n, prof, rng, rate=0.3, span_mean=0.0)
+    plan = select_targets(n, prof, rng, PipelineConfig(mask_rate=0.3, span_mean=0.0))
     tokens = list(range(1000, 1000 + n))
     out, labels = apply_plan(
         tokens, plan, rng, vocab_size=5000, mask_id=4999, special_ids=[0]
@@ -163,7 +172,7 @@ def test_apply_plan_random_avoids_specials_and_mask():
     n = 64
     prof = profile(n)
     rng = np.random.default_rng(33)
-    plan = select_targets(n, prof, rng, rate=0.9, span_mean=0.0)
+    plan = select_targets(n, prof, rng, PipelineConfig(mask_rate=0.9, span_mean=0.0))
     tokens = [7] * n
     out, _ = apply_plan(
         tokens, plan, rng, vocab_size=10, mask_id=9, special_ids=[0, 1, 2]
@@ -178,7 +187,7 @@ def test_apply_plan_random_avoids_specials_and_mask():
 def test_apply_plan_rejects_out_of_range_tokens():
     prof = profile(4)
     rng = np.random.default_rng(0)
-    plan = select_targets(4, prof, rng, rate=0.5)
+    plan = select_targets(4, prof, rng, PipelineConfig(mask_rate=0.5))
     with pytest.raises(ValueError):
         apply_plan([0, 1, 2, 99], plan, rng, vocab_size=10, mask_id=9)
 

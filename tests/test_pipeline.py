@@ -224,9 +224,7 @@ def reference_run(lines, cfg, tokenizer):
             notes.append(f"line {lineno}: skipped ({type(e).__name__}: {e})\n")
             continue
         records.append(dataclasses.replace(meta, segments=tuple(segments)))
-    examples = pack_examples(
-        records, n_segments=cfg.segments_per_example, cross_video=cfg.cross_video
-    )
+    examples = pack_examples(records, cfg)
     out = [
         json.dumps(
             {"schema_version": "1", "segments": list(map(json.loads, ex.segments)), "provenance": ex.provenance},

@@ -91,6 +91,8 @@ def test_segments_validate_as_records():
 # ---------------------------------------------------------------------------
 # packing
 
+FOUR = PipelineConfig(segments_per_example=4)
+
 
 def record_with_segments(video_id, n, l_max=4):
     segs = tuple(
@@ -109,7 +111,7 @@ def record_with_segments(video_id, n, l_max=4):
 def test_pack_exact_blocks_with_remainder_dropped():
     records = [record_with_segments("a", 5), record_with_segments("b", 4)]
     stats = PackStats()
-    examples = list(pack_examples(iter(records), n_segments=4, stats=stats))
+    examples = list(pack_examples(iter(records), FOUR, stats))
     assert len(examples) == 2
     assert stats.segments_in == 9
     assert stats.examples_out == 2
@@ -121,22 +123,21 @@ def test_pack_exact_blocks_with_remainder_dropped():
 
 def test_pack_provenance_tracks_source_positions():
     records = [record_with_segments("a", 3), record_with_segments("b", 3)]
-    examples = list(pack_examples(iter(records), n_segments=4))
+    examples = list(pack_examples(iter(records), FOUR))
     assert examples[0].provenance == (("a", 0), ("a", 1), ("a", 2), ("b", 0))
 
 
 def test_pack_cross_video_merges_remainders():
     records = [record_with_segments(c, 3) for c in "abcd"]
-    examples = list(pack_examples(iter(records), n_segments=4))
+    examples = list(pack_examples(iter(records), FOUR))
     assert len(examples) == 3  # 12 segments -> 3 full blocks
 
 
 def test_pack_per_video_mode_drops_each_remainder():
     records = [record_with_segments(c, 5) for c in "ab"]
     stats = PackStats()
-    examples = list(
-        pack_examples(iter(records), n_segments=4, cross_video=False, stats=stats)
-    )
+    per_video = PipelineConfig(segments_per_example=4, cross_video=False)
+    examples = list(pack_examples(iter(records), per_video, stats))
     assert len(examples) == 2
     assert stats.segments_dropped == 2
     for ex in examples:
@@ -150,7 +151,7 @@ def test_pack_conserves_segments(counts):
         record_with_segments(f"v{i}", n) for i, n in enumerate(counts) if n > 0
     ]
     stats = PackStats()
-    examples = list(pack_examples(iter(records), n_segments=4, stats=stats))
+    examples = list(pack_examples(iter(records), FOUR, stats))
     total = sum(counts)
     assert stats.segments_in == total
     assert stats.examples_out * 4 + stats.segments_dropped == total
